@@ -347,7 +347,7 @@ StepReport Simulation::step_body(SdcStepStats* stats) {
   }
   const double da_fine = (a1 - a0) / static_cast<double>(nfine);
   std::vector<std::uint8_t> active;
-  std::vector<double> dt_particle(particles_.size(), 0.0);
+  std::vector<double> dt_particle;
 
   for (std::uint64_t s = 0; s < nfine; ++s) {
     HACC_TRACE_SPAN("substep");
@@ -427,37 +427,18 @@ StepReport Simulation::step_body(SdcStepStats* stats) {
       }
 
       // Kick each active particle across its own bin interval (drag-free;
-      // the PM kick already carried the drag for the whole step).
-      util::TraceRecorder::Span kick_span(util::TraceRecorder::current(),
-                                          "kick");
-      for (int b = 0; b <= depth; ++b) {
-        if (!integrator::bin_active(static_cast<std::uint8_t>(b), s, depth)) {
-          continue;
-        }
-        const std::uint64_t span_fine = 1ull << (depth - b);
-        const double a_bin_end =
-            a0 + static_cast<double>(std::min(s + span_fine, nfine)) * da_fine;
-        std::vector<std::uint8_t> bin_mask(particles_.size(), 0);
-        bool any = false;
-        for (std::size_t i = 0; i < particles_.size(); ++i) {
-          if (active[i] && particles_.bin[i] == b) {
-            bin_mask[i] = 1;
-            any = true;
-            dt_particle[i] = kdk_.dt_of(a_s, a_bin_end);
-          }
-        }
-        if (!any) continue;
-        kdk_.kick(particles_, a_s, a_bin_end, bin_mask.data(),
-                  /*with_drag=*/false);
-        kdk_.energy_kick(particles_, a_s, a_bin_end, bin_mask.data());
+      // the PM kick already carried the drag for the whole step). One
+      // time integral per active bin, none per particle.
+      {
+        HACC_TRACE_SPAN("kick");
+        kdk_.kick_active_bins(particles_, active, s, depth, a0, da_fine,
+                              dt_particle);
       }
-      kick_span.close();
 
       // Subgrid sources for active gas (per-particle bin-length dt).
       // The stochastic stream is keyed on (PM step, fine substep) so a
       // run restored from a checkpoint replays identical draws.
       if (config_.hydro && config_.subgrid_on) {
-        dt_particle.resize(particles_.size(), 0.0);
         const std::uint64_t stream = (step_ << 16) | s;
         report.subgrid += subgrid_.apply(particles_, mesh_gas, bg_, a_s,
                                          dt_particle, active.data(), stream);
@@ -894,9 +875,9 @@ bool Simulation::run_slice(std::uint64_t max_steps, RunResult& result,
   while (step_ < static_cast<std::uint64_t>(config_.num_pm_steps) &&
          done_this_slice < max_steps) {
     ++done_this_slice;
-    const double dt_pm =
-        kdk_.dt_of(a_at_step(step_), a_at_step(step_ + 1));
-    if (fault && fault->should_fail(fault_trial_++, dt_pm)) {
+    if (fault && fault->should_fail(fault_trial_++,
+                                    kdk_.dt_of(a_at_step(step_),
+                                               a_at_step(step_ + 1)))) {
       ++result.interruptions;
       CHECK_MSG(writer && pfs, "fault injected without checkpointing");
       // "Machine interruption": all ranks fall back to the newest fully

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/particles.h"
 #include "cosmology/background.h"
@@ -44,6 +45,24 @@ class Kdk {
   /// Apply du/dt (the particles' du array) over the same kick interval.
   void energy_kick(Particles& particles, double a0, double a1,
                    const std::uint8_t* active) const;
+
+  /// Sub-cycle kick at fine substep `s` of the 2^depth substeps that
+  /// split the PM interval starting at `a0` into widths `da_fine`. Every
+  /// particle flagged in `active` (activity_mask(particles, s, depth))
+  /// gets the drag-free velocity kick and the energy kick across its
+  /// bin's interval [a_s, a0 + min(s + 2^(depth-b), 2^depth) * da_fine],
+  /// and that interval's cosmic time lands in its `dt_particle` entry
+  /// for the subgrid model. The per-particle arithmetic is kick(...,
+  /// /*with_drag=*/false) followed by energy_kick() over the same
+  /// interval, but dt_of runs once per bin active at `s`, never per
+  /// particle: a substep costs at most depth + 1 time integrals whatever
+  /// the particle count. Inactive particles and their dt_particle
+  /// entries are left as they are; dt_particle is resized (zero-filled)
+  /// to the particle count.
+  void kick_active_bins(Particles& particles,
+                        const std::vector<std::uint8_t>& active,
+                        std::uint64_t s, int depth, double a0, double da_fine,
+                        std::vector<double>& dt_particle) const;
 
  private:
   const cosmo::Background& bg_;
