@@ -31,7 +31,7 @@ struct Fixture {
   Particles particles;
   tree::ChainingMesh mesh;
   sph::SphScratch scratch;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  gpu::LaunchPlan plan;
 
   Fixture()
       : mesh(
@@ -65,7 +65,7 @@ struct Fixture {
       particles.rho[idx] = 8.0f;
     }
     mesh.build(particles);
-    pairs = mesh.interaction_pairs(0.8);
+    plan = gpu::LaunchPlan(mesh, mesh.interaction_pairs(0.8));
     scratch.resize(particles.size());
     for (std::size_t i = 0; i < particles.size(); ++i) {
       scratch.volume[i] = particles.mass[i] / particles.rho[i];
@@ -105,7 +105,7 @@ void BM_Density(benchmark::State& state) {
   for (auto _ : state) {
     const gpu::LaunchConfig config{
         .warp_size = static_cast<std::uint32_t>(state.range(0)), .mode = Mode};
-    total += gpu::launch_pair_kernel(kernel, f.mesh, f.pairs, config);
+    total += gpu::launch_pair_kernel(kernel, f.mesh, f.plan, config);
     ++iterations;
   }
   report(state, total, iterations);
@@ -120,7 +120,7 @@ void BM_CrkMoments(benchmark::State& state) {
   for (auto _ : state) {
     const gpu::LaunchConfig config{
         .warp_size = static_cast<std::uint32_t>(state.range(0)), .mode = Mode};
-    total += gpu::launch_pair_kernel(kernel, f.mesh, f.pairs, config);
+    total += gpu::launch_pair_kernel(kernel, f.mesh, f.plan, config);
     ++iterations;
   }
   report(state, total, iterations);
@@ -136,7 +136,7 @@ void BM_MomentumEnergy(benchmark::State& state) {
   for (auto _ : state) {
     const gpu::LaunchConfig config{
         .warp_size = static_cast<std::uint32_t>(state.range(0)), .mode = Mode};
-    total += gpu::launch_pair_kernel(kernel, f.mesh, f.pairs, config);
+    total += gpu::launch_pair_kernel(kernel, f.mesh, f.plan, config);
     ++iterations;
   }
   report(state, total, iterations);
@@ -153,7 +153,7 @@ void BM_Gravity(benchmark::State& state) {
   for (auto _ : state) {
     const gpu::LaunchConfig config{
         .warp_size = static_cast<std::uint32_t>(state.range(0)), .mode = Mode};
-    total += gpu::launch_pair_kernel(kernel, f.mesh, f.pairs, config);
+    total += gpu::launch_pair_kernel(kernel, f.mesh, f.plan, config);
     ++iterations;
   }
   report(state, total, iterations);

@@ -18,8 +18,8 @@
 //      field's accumulation scale;
 //   3. speed — kSimd vs kLeafOwner wall time at 8 threads, plus the
 //      projected dedicated-lane time (serial remainder + longest worker
-//      lane on the thread CPU clock, as in bench/launch_schedule) since
-//      on this substitute machine all workers share one core.
+//      lane on the thread CPU clock) for hosts whose workers share
+//      fewer cores than threads.
 //
 // --quick shrinks the problem and gates only (1) and (2) — that variant
 // runs as a ctest smoke target, so a vector-engine regression fails the
@@ -57,7 +57,7 @@ constexpr double kBox = 8.0;
 constexpr float kCutoff = 0.8f;
 
 /// Clustered gas cloud with valid densities and smoothing lengths — the
-/// same population shape as bench/launch_schedule.
+/// same population shape as bench/ablation_warp_split.
 struct Fixture {
   Particles particles;
   tree::ChainingMesh mesh;

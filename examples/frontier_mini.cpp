@@ -9,7 +9,7 @@
 // interruption count.
 //
 //   ./examples/frontier_mini [--threads=N] [--sdc=on|off]
-//                            [--launch-schedule=leaf_owner|deferred_store|simd]
+//                            [--launch-schedule=leaf_owner|simd]
 //                            [--sdc-flip-rate=R] [--sdc-flip-seed=S]
 //                            [--ckpt-diff] [--ckpt-audit-on-restore]
 //                            [--rank-loss-policy=fatal|shrink]
@@ -21,12 +21,10 @@
 // work-stealing pool (0 = hardware concurrency). The answer is bitwise
 // identical for every N; the report adds the pool's scheduler accounting.
 //
-// --launch-schedule selects how pair-kernel launches compose with the
-// pool: leaf_owner (default) accumulates in place per owner leaf;
-// deferred_store is the buffered-replay alternative; simd keeps the
-// owner-leaf decomposition but runs vectorized tile engines (rejected
-// when the build has no SIMD backend). All three are bitwise identical
-// to serial — the knob exists for A/B drills.
+// --launch-schedule selects the tile engine of the pair-kernel owner
+// tasks: leaf_owner (default) runs scalar tiles, simd runs vectorized
+// tiles (rejected when the build has no SIMD backend). Both are bitwise
+// identical — the knob exists for A/B drills.
 //
 // With a storage_fault_seed, the PFS additionally injects silent
 // corruption (torn writes, bit flips) and transient I/O errors; the
@@ -102,9 +100,7 @@ int main(int argc, char** argv) {
       threads = std::atoi(argv[i] + 10);
     } else if (std::strncmp(argv[i], "--launch-schedule=", 18) == 0) {
       const char* value = argv[i] + 18;
-      if (std::strcmp(value, "deferred_store") == 0) {
-        schedule = gpu::LaunchSchedule::kDeferredStore;
-      } else if (std::strcmp(value, "simd") == 0) {
+      if (std::strcmp(value, "simd") == 0) {
         if (!gpu::simd_support().available) {
           std::fprintf(stderr,
                        "--launch-schedule=simd: this build has no SIMD "
@@ -114,8 +110,7 @@ int main(int argc, char** argv) {
         schedule = gpu::LaunchSchedule::kSimd;
       } else if (std::strcmp(value, "leaf_owner") != 0) {
         std::fprintf(stderr,
-                     "unknown --launch-schedule '%s' (leaf_owner | "
-                     "deferred_store | simd)\n",
+                     "unknown --launch-schedule '%s' (leaf_owner | simd)\n",
                      value);
         return 2;
       }
@@ -198,14 +193,10 @@ int main(int argc, char** argv) {
   config.ckpt.redundant_local = ckpt_audit_on_restore;
   config.rank_loss_policy = rank_loss_policy;
 
-  const char* schedule_name =
-      schedule == gpu::LaunchSchedule::kLeafOwner        ? "leaf_owner"
-      : schedule == gpu::LaunchSchedule::kDeferredStore  ? "deferred_store"
-                                                         : "simd";
   std::printf("frontier-mini: %d ranks, %zu^3 particle pairs, %d PM steps, "
               "%d pool threads/rank, %s launch schedule%s%s%s\n",
               ranks, config.np, config.num_pm_steps, config.threads,
-              schedule_name,
+              gpu::schedule_name(schedule),
               schedule == gpu::LaunchSchedule::kSimd ? " (" : "",
               schedule == gpu::LaunchSchedule::kSimd ? gpu::simd_support().isa
                                                      : "",

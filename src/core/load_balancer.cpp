@@ -331,9 +331,9 @@ gpu::LaunchStats LoadBalancer::donor_substep(
     comm::send_work_packet(comm_, d.helper, packet);
     ++packets_sent_;
   }
-  const gpu::LaunchStats stats = gravity::compute_short_range_owner_tasks(
-      particles, mesh, plan, split, gconfig, a_mid, active, flops, skip.data(),
-      pool);
+  const gpu::LaunchStats stats =
+      gravity::compute_short_range(particles, mesh, plan, split, gconfig,
+                                   a_mid, active, flops, skip.data(), pool);
   {
     HACC_TRACE_SPAN("lb_return");
     const comm::WorkReply reply = comm::recv_work_reply(comm_, d.helper);

@@ -147,9 +147,10 @@ class LoadBalancer {
 
   /// Donor-side gravity for one substep: ship the migrated owner tasks
   /// of the (mesh, pairs) plan to the helper, execute the rest locally
-  /// (same kernel construction as gravity::compute_short_range), then
-  /// block for the reply and copy the returned accelerations onto the
-  /// active migrated-leaf particles. Returns the local launch stats.
+  /// (gravity::compute_short_range over the plan, migrated tasks
+  /// skipped), then block for the reply and copy the returned
+  /// accelerations onto the active migrated-leaf particles. Returns the
+  /// local launch stats.
   gpu::LaunchStats donor_substep(Particles& particles,
                                  const tree::ChainingMesh& mesh,
                                  const std::vector<Pair>& pairs,

@@ -238,9 +238,6 @@ std::vector<std::string> ParamFile::apply(SimConfig& config) const {
       if (v == "leaf_owner" || v == "owner") {
         config.sph.launch.schedule = gpu::LaunchSchedule::kLeafOwner;
         config.gravity.launch.schedule = gpu::LaunchSchedule::kLeafOwner;
-      } else if (v == "deferred_store" || v == "replay") {
-        config.sph.launch.schedule = gpu::LaunchSchedule::kDeferredStore;
-        config.gravity.launch.schedule = gpu::LaunchSchedule::kDeferredStore;
       } else if (v == "simd") {
         if (gpu::simd_support().available) {
           config.sph.launch.schedule = gpu::LaunchSchedule::kSimd;
@@ -252,15 +249,13 @@ std::vector<std::string> ParamFile::apply(SimConfig& config) const {
               "param file: launch_schedule = 'simd' rejected: this build "
               "has no SIMD backend (configure with CRKHACC_ENABLE_SIMD=ON "
               "on a supported host); keeping '%s'",
-              config.sph.launch.schedule == gpu::LaunchSchedule::kDeferredStore
-                  ? "deferred_store"
-                  : "leaf_owner");
+              gpu::schedule_name(config.sph.launch.schedule));
           rejected = true;
         }
       } else {
         HACC_LOG_ERROR(
             "param file: launch_schedule = '%s' rejected: expected "
-            "'leaf_owner', 'deferred_store' or 'simd'",
+            "'leaf_owner' or 'simd'",
             v.c_str());
         rejected = true;
       }

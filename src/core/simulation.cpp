@@ -57,18 +57,9 @@ SimConfig resolve_config(SimConfig config) {
 
 Simulation::Simulation(SimContext& ctx, comm::Communicator& comm,
                        const SimConfig& config)
-    : Simulation(nullptr, &ctx, comm, config) {}
-
-Simulation::Simulation(comm::Communicator& comm, const SimConfig& config)
-    : Simulation(std::make_unique<SimContext>(config.threads), nullptr, comm,
-                 config) {}
-
-Simulation::Simulation(std::unique_ptr<SimContext> owned, SimContext* borrowed,
-                       comm::Communicator& comm, const SimConfig& config)
     : comm_(comm),
       config_(resolve_config(config)),
-      private_ctx_(std::move(owned)),
-      ctx_(borrowed != nullptr ? *borrowed : *private_ctx_),
+      ctx_(ctx),
       pool_(ctx_.thread_pool()),
       pool_baseline_(pool_.stats()),
       decomp_(comm.size(), config.box),
@@ -930,17 +921,7 @@ void Simulation::finalize_run(RunResult& result, io::MultiTierWriter* writer) {
   result.completed = step_ >= static_cast<std::uint64_t>(config_.num_pm_steps);
   if (writer) result.io = writer->stats();
   result.threading = util::stats_since(pool_.stats(), pool_baseline_);
-  switch (config_.sph.launch.schedule) {
-    case gpu::LaunchSchedule::kLeafOwner:
-      result.launch_schedule = "leaf_owner";
-      break;
-    case gpu::LaunchSchedule::kDeferredStore:
-      result.launch_schedule = "deferred_store";
-      break;
-    case gpu::LaunchSchedule::kSimd:
-      result.launch_schedule = "simd";
-      break;
-  }
+  result.launch_schedule = gpu::schedule_name(config_.gravity.launch.schedule);
   result.simd_isa = gpu::simd_support().isa;
   if (config_.trace.enabled) {
     // Commit trailing analysis spans, then surface the local counters.

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -167,9 +166,10 @@ struct RunResult {
   /// Intra-node scheduler accounting (per-thread busy time, steal counts)
   /// accumulated over the whole run.
   util::ThreadPoolStats threading;
-  /// Pair-kernel launch policy the run actually used ("leaf_owner",
-  /// "deferred_store" or "simd") and, for kSimd, the compiled-in
-  /// instruction set ("avx2" / "scalar"; "none" on SIMD-less builds).
+  /// Pair-kernel tile engine of the gravity launches, which run in every
+  /// configuration ("leaf_owner" or "simd", gpu::schedule_name), and the
+  /// compiled-in instruction set ("avx2" / "scalar"; "none" on SIMD-less
+  /// builds).
   std::string launch_schedule;
   std::string simd_isa;
 
@@ -204,15 +204,6 @@ class Simulation {
   /// contract in core/context.h (one context per rank thread).
   Simulation(SimContext& ctx, comm::Communicator& comm,
              const SimConfig& config);
-
-  /// Legacy entry point: builds a PRIVATE context (own pool sized from
-  /// config.threads, no asset sharing) — exactly the pre-context
-  /// semantics. Kept one release for downstream callers; in-repo code
-  /// constructs a SimContext explicitly.
-  [[deprecated(
-      "construct a core::SimContext and use Simulation(ctx, comm, "
-      "config)")]]
-  Simulation(comm::Communicator& comm, const SimConfig& config);
 
   ~Simulation();
 
@@ -329,12 +320,6 @@ class Simulation {
   double a_at_step(std::uint64_t s) const;
 
  private:
-  /// Common construction: `owned` is null when borrowing a shared
-  /// context, else the legacy shim's private context (declared first so
-  /// ctx_ can bind to it).
-  Simulation(std::unique_ptr<SimContext> owned, SimContext* borrowed,
-             comm::Communicator& comm, const SimConfig& config);
-
   void prime_solver_state();
   int assign_timestep_bins(double dt_pm);
   /// The actual PM step (phases 1-5), checkpoint excluded so the
@@ -359,10 +344,6 @@ class Simulation {
 
   comm::Communicator& comm_;
   SimConfig config_;
-  /// Legacy-shim ownership (null when the caller supplied the context);
-  /// declared before ctx_/pool_ so the references bind to a live object,
-  /// and before the solvers so the pool outlives every parallel region.
-  std::unique_ptr<SimContext> private_ctx_;
   SimContext& ctx_;
   util::ThreadPool& pool_;
   /// Pool accounting at construction: finalize_run reports the delta, so

@@ -6,14 +6,13 @@
 namespace crkhacc::gpu {
 
 LaunchPlan::LaunchPlan(const tree::ChainingMesh& cm,
-                       std::span<const Pair> pairs)
-    : pairs_(pairs.begin(), pairs.end()) {
+                       std::span<const Pair> pairs) {
   const std::size_t nleaves = cm.num_leaves();
 
   // Pass 1: entries per leaf. A self pair is one both-sides entry on its
   // owner; a cross pair is one entry on each owner.
   std::vector<std::uint32_t> count(nleaves, 0);
-  for (const auto& [la, lb] : pairs_) {
+  for (const auto& [la, lb] : pairs) {
     CHECK_MSG(la <= lb && lb < nleaves,
               "interaction pair is not (i <= j) within the mesh");
     ++count[la];
@@ -32,7 +31,7 @@ LaunchPlan::LaunchPlan(const tree::ChainingMesh& cm,
   // owner's entries end up ordered by the pair index they came from —
   // the invariant the bitwise-determinism argument rests on.
   std::vector<std::uint32_t> cursor(offset.begin(), offset.end() - 1);
-  for (const auto& [la, lb] : pairs_) {
+  for (const auto& [la, lb] : pairs) {
     if (la == lb) {
       entries_[cursor[la]++] = Entry{lb, Side::kBoth};
     } else {

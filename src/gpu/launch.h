@@ -1,37 +1,32 @@
 // Pair-kernel launch configuration, statistics, and leaf-owner plans.
 //
-// This header is the policy half of the launch API: what to run (mode),
-// how to schedule it across pool workers (schedule), and the precomputed
-// owner-leaf work lists (LaunchPlan) that make the leaf-owner schedule
-// deterministic. The execution half — the warp-split and naive drivers
-// plus launch_pair_kernel itself — lives in gpu/warp.h.
+// This header is the policy half of the launch API: what to run (mode,
+// tile engine) and the precomputed owner-leaf work lists (LaunchPlan)
+// that every launch walks. The execution half — the warp-split and naive
+// drivers plus launch_pair_kernel itself — lives in gpu/warp.h.
 //
-// Scheduling (see DESIGN.md, "Node-level threading model"):
+// Owner tasks (see DESIGN.md, "Node-level threading model"): the plan
+// lists, for every leaf, the ordered (partner, side) tiles that
+// accumulate onto it: a self pair contributes one both-sides tile walk,
+// a cross pair (A, B) contributes an i-side walk to owner A and a j-side
+// walk to owner B. Each particle is written by exactly one owner task,
+// and the entries of an owner are ordered by pair-list index, so the
+// store sequence seen by any particle is the same at every thread count:
+// parallel results are bitwise identical to serial, with nothing
+// buffered.
 //
-//  * kLeafOwner (default) — one task per OWNER leaf. The plan lists, for
-//    every leaf, the ordered (partner, side) tiles that accumulate onto
-//    it: a self pair contributes one both-sides tile walk, a cross pair
-//    (A, B) contributes an i-side walk to owner A and a j-side walk to
-//    owner B. Each particle is written by exactly one owner task, and the
-//    entries of an owner are ordered by pair-list index, so the store
-//    sequence seen by any particle equals the serial sequence — parallel
-//    results are bitwise identical to serial with NO store buffering and
-//    no serial replay tax.
+// LaunchSchedule selects the tile engine the owner tasks run, not the
+// pool decomposition:
 //
-//  * kDeferredStore — PR 2's chunked pair scheduler: stores are captured
-//    into per-chunk buffers and replayed in chunk order on the calling
-//    thread. Kept as the comparison baseline (bench/launch_schedule) and
-//    as a fallback; transient memory is O(interactions) per launch vs.
-//    zero for kLeafOwner.
+//  * kLeafOwner (default) — scalar warp-split (or naive) tiles.
 //
-//  * kSimd — the leaf-owner decomposition with the inner half-warp tile
-//    evaluated simd::kWidth lanes per instruction (gpu/warp_simd.h).
-//    Work distribution, store ownership, and per-accumulator operand
-//    order are identical to kLeafOwner, so results stay bitwise identical
-//    to serial by default (simd_math = kExact); simd_math = kFused opts
-//    into real FMA under an explicit ULP gate. Requires a SIMD-enabled
-//    build (simd::kAvailable), warp-split mode, and a power-of-two
-//    warp_size; kernels without a SIMD form fall back to scalar tiles.
+//  * kSimd — the inner half-warp tile evaluated simd::kWidth lanes per
+//    instruction (gpu/warp_simd.h). Per-accumulator operand order is
+//    identical to kLeafOwner, so results stay bitwise identical by
+//    default (simd_math = kExact); simd_math = kFused opts into real FMA
+//    under an explicit ULP gate. Requires a SIMD-enabled build
+//    (simd::kAvailable), warp-split mode, and a power-of-two warp_size;
+//    kernels without a SIMD form fall back to scalar tiles.
 //
 // A LaunchPlan depends only on (mesh, pair list) — not on the kernel, the
 // thread count, or the launch mode — so one plan is shared by the
@@ -56,8 +51,14 @@ namespace crkhacc::gpu {
 
 enum class LaunchMode { kNaive, kWarpSplit };
 
-/// How launch_pair_kernel distributes pair work over pool workers.
-enum class LaunchSchedule { kLeafOwner, kDeferredStore, kSimd };
+/// Which tile engine launch_pair_kernel's owner tasks run.
+enum class LaunchSchedule { kLeafOwner, kSimd };
+
+/// The schedule's name as the launch_schedule param key and the
+/// --launch-schedule flag spell it ("leaf_owner", "simd").
+inline const char* schedule_name(LaunchSchedule schedule) {
+  return schedule == LaunchSchedule::kSimd ? "simd" : "leaf_owner";
+}
 
 /// Arithmetic contract of the kSimd schedule's vector kernels.
 ///  * kExact — every a*b+c is mul then add (two roundings): bitwise
@@ -103,14 +104,6 @@ struct LaunchConfig {
   }
 };
 
-/// Merge policy for combining per-task LaunchStats into a launch total.
-///  * kAccumulate — sum everything (seconds included): combining stats of
-///    launches that ran back to back.
-///  * kExclusive — sum the work counters but keep the target's timing
-///    (seconds, flops): folding per-worker stats of ONE launch into its
-///    total, whose wall clock is measured once around the whole launch.
-enum class MergeTiming { kAccumulate, kExclusive };
-
 struct LaunchStats {
   std::uint64_t interactions = 0;   ///< ordered pair evaluations
   std::uint64_t global_loads = 0;   ///< State loads from particle arrays
@@ -119,10 +112,6 @@ struct LaunchStats {
   double flops = 0.0;
   double seconds = 0.0;
   std::size_t register_bytes_per_thread = 0;
-  /// High-watermark of deferred-store buffer bytes held at once by this
-  /// launch (0 on the leaf-owner schedule and on serial launches — they
-  /// buffer nothing). Max-merged, like register_bytes_per_thread.
-  std::uint64_t store_buffer_bytes = 0;
 
   LaunchStats& operator+=(const LaunchStats& o) {
     interactions += o.interactions;
@@ -133,21 +122,6 @@ struct LaunchStats {
     seconds += o.seconds;
     register_bytes_per_thread =
         std::max(register_bytes_per_thread, o.register_bytes_per_thread);
-    store_buffer_bytes = std::max(store_buffer_bytes, o.store_buffer_bytes);
-    return *this;
-  }
-
-  /// All merging routes through operator+= so bench totals and unit-test
-  /// totals cannot drift; the policy only decides what happens to the
-  /// timing-derived fields afterwards.
-  LaunchStats& merge(const LaunchStats& o, MergeTiming timing) {
-    const double outer_seconds = seconds;
-    const double outer_flops = flops;
-    *this += o;
-    if (timing == MergeTiming::kExclusive) {
-      seconds = outer_seconds;
-      flops = outer_flops;
-    }
     return *this;
   }
 };
@@ -157,10 +131,10 @@ struct LaunchStats {
 /// CSR layout: owners_ holds the leaves that appear in at least one pair
 /// (ascending); the entries of owners_[t] are
 /// entries_[entry_begin_[t] .. entry_begin_[t+1]), ordered by the index q
-/// of the pair they came from. That per-owner order is what makes the
-/// leaf-owner schedule bitwise reproducible: a particle of leaf L is
-/// stored to only by L's task, in the same tile order as the serial
-/// pair-by-pair walk.
+/// of the pair they came from. That per-owner order is what makes every
+/// launch bitwise reproducible at any thread count: a particle of leaf L
+/// is stored to only by L's task, in the tile order of a pair-by-pair
+/// walk.
 class LaunchPlan {
  public:
   using Pair = std::pair<std::uint32_t, std::uint32_t>;
@@ -180,17 +154,13 @@ class LaunchPlan {
   LaunchPlan() = default;
 
   /// Pairs must satisfy first <= second with both < cm.num_leaves() (as
-  /// produced by ChainingMesh::interaction_pairs). The pair list is
-  /// copied so the plan also serves serial launches (which run in
-  /// canonical pair order) and the deferred-store schedule.
+  /// produced by ChainingMesh::interaction_pairs).
   LaunchPlan(const tree::ChainingMesh& cm, std::span<const Pair> pairs);
 
   /// Rebuild a plan from pre-extracted owner-task CSRs — the receive
   /// side of work-packet migration (core/load_balancer.h). The caller
   /// guarantees the CSRs describe tasks in the donor plan's owner order
-  /// with entries in the donor's per-owner pair order; the resulting
-  /// plan has no pair list, so it can only drive owner-task launches
-  /// (gpu::launch_owner_tasks), never the serial pair-order path.
+  /// with entries in the donor's per-owner pair order.
   static LaunchPlan from_owner_tasks(std::vector<std::uint32_t> owners,
                                      std::vector<std::uint32_t> entry_begin,
                                      std::vector<Entry> entries);
@@ -202,13 +172,11 @@ class LaunchPlan {
             entry_begin_[t + 1] - entry_begin_[t]};
   }
   std::size_t num_entries() const { return entries_.size(); }
-  std::span<const Pair> pairs() const { return pairs_; }
 
  private:
   std::vector<std::uint32_t> owners_;
   std::vector<std::uint32_t> entry_begin_;  ///< owners_.size() + 1 offsets
   std::vector<Entry> entries_;
-  std::vector<Pair> pairs_;
 };
 
 }  // namespace crkhacc::gpu

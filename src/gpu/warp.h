@@ -1,5 +1,5 @@
-// Leaf-pair kernel launch drivers: naive and warp-split, scheduled
-// serially, by owner leaf, or by deferred-store chunk replay.
+// Leaf-pair kernel launch: naive and warp-split drivers run as
+// leaf-owner tasks, serially or on a thread pool.
 //
 // The short-range solver's compute is leaf-to-leaf interaction kernels
 // (Section IV-B2): all particles i of one leaf interact with all particles
@@ -44,52 +44,39 @@
 //     void store(std::uint32_t particle, const Accum&);  // += semantics
 //   };
 //
-// Deterministic parallel launch: launch_pair_kernel optionally takes a
-// util::ThreadPool and a LaunchConfig selecting one of two schedules
-// (gpu/launch.h), both bitwise identical to the serial launch for any
-// thread count:
+// One launch path: launch_pair_kernel walks the OWNER tasks of a
+// LaunchPlan (gpu/launch.h) — in a plain loop without a pool or on a
+// one-thread pool, under parallel_for otherwise. Each owner task walks
+// its (partner, side) entries in pair order, accumulating DIRECTLY into
+// its own particles: a self pair is one both-sides tile walk, a cross
+// pair (A, B) is evaluated one-sided twice — the i-side tiles by A's
+// task, the j-side tiles by B's task, each loading both leaves. Results
+// and LaunchStats counters are therefore identical for every thread
+// count, and bitwise equal to a pair-by-pair walk, because (1) every
+// particle is written only by its owner's task, (2) an owner's entries
+// are ordered by pair index and its tile walk visits the owner's chunks
+// in pair-walk order, so each particle sees the pair walk's store
+// sequence, and (3) the per-accumulator arithmetic of a one-sided tile
+// is unchanged from the both-sides tile (same rotation order, same
+// operand values — load/partial are pure).
 //
-//  * LaunchSchedule::kLeafOwner (default) — parallel_for over OWNER
-//    leaves of a LaunchPlan. Each owner task walks its (partner, side)
-//    entries in pair order, accumulating DIRECTLY into its own particles:
-//    a cross pair (A, B) is evaluated one-sided twice — the i-side tiles
-//    by A's task, the j-side tiles by B's task. No store buffering, no
-//    serial replay. Bitwise identity holds because (1) every particle is
-//    written only by its owner's task, (2) an owner's entries are ordered
-//    by pair index and its tile walk visits the owner's chunks in the
-//    same order as the serial driver, so each particle sees the exact
-//    serial store sequence, and (3) the per-accumulator arithmetic of a
-//    one-sided tile is unchanged from the both-sides tile (same rotation
-//    order, same operand values — load/partial are pure).
+// LaunchConfig::schedule selects the tile ENGINE, not the decomposition:
+// kLeafOwner runs the scalar tiles below, kSimd evaluates each tile
+// simd::kWidth lanes per vector instruction (gpu/warp_simd.h) for
+// kernels that define the SimdPairKernel surface; other kernels run the
+// scalar tiles unchanged.
 //
-//  * LaunchSchedule::kDeferredStore — the pair list is split into fixed
-//    8-pair chunks (independent of thread count); workers capture stores
-//    into per-chunk buffers and the calling thread replays them in chunk
-//    order. O(interactions) transient memory and a serial replay tax;
-//    kept as the measured baseline (bench/launch_schedule).
-//
-//  * LaunchSchedule::kSimd — the leaf-owner decomposition with the inner
-//    tile evaluated simd::kWidth lanes per vector instruction
-//    (gpu/warp_simd.h) for kernels that define the SimdPairKernel
-//    surface; other kernels run the scalar tiles unchanged. Serial kSimd
-//    launches also use the vector engine (the schedule selects the tile
-//    ENGINE, not just the pool decomposition), so serial-vs-parallel
-//    stays an apples-to-apples bitwise comparison.
-//
-// Kernel contract under parallel launches: load()/partial() must not read
-// any field that store() writes within the same launch (the pass
-// structure already guarantees it — positions/masses in, accelerations/
-// densities out). Under kLeafOwner, store() additionally runs CONCURRENTLY
-// on worker threads for DISTINCT particles, so store(i, ...) may only
-// touch per-particle state of i (true of every kernel in the tree: they
-// += into per-particle output arrays).
+// Kernel contract: load()/partial() must not read any field that store()
+// writes within the same launch (the pass structure already guarantees
+// it — positions/masses in, accelerations/densities out), and store()
+// runs CONCURRENTLY on worker threads for DISTINCT particles, so
+// store(i, ...) may only touch per-particle state of i (true of every
+// kernel in the tree: they += into per-particle output arrays).
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "gpu/launch.h"
@@ -239,37 +226,34 @@ void warp_tile(Kernel& kernel, const LaneFile<Kernel>& fi,
   }
 }
 
-/// Both-sides warp-split evaluation of pair (leaf_a, leaf_b) — the serial
-/// driver. The i-side lane file is filled once per row and reused for
-/// every partner chunk of that row.
+/// Both-sides warp-split evaluation of self pair (leaf, leaf): every
+/// chunk against itself and every later chunk of the leaf. The i-side
+/// lane file is filled once per row and reused for every partner chunk
+/// of that row.
 template <typename Kernel>
 void warp_split_pair(Kernel& kernel, const tree::ChainingMesh& cm,
-                     std::uint32_t leaf_a, std::uint32_t leaf_b,
-                     std::uint32_t warp_size, LaunchStats& stats) {
-  const tree::Leaf& a = cm.leaf(leaf_a);
-  const tree::Leaf& b = cm.leaf(leaf_b);
+                     std::uint32_t leaf, std::uint32_t warp_size,
+                     LaunchStats& stats) {
+  const tree::Leaf& a = cm.leaf(leaf);
   const std::uint32_t* perm = cm.permutation().data();
   const std::uint32_t w = std::min(warp_size / 2, kMaxHalfWarp);
-  const bool same_leaf = leaf_a == leaf_b;
 
   LaneFile<Kernel> fi, fj;
   for (std::uint32_t ci = a.begin; ci < a.end; ci += w) {
     fi.fill(kernel, perm + ci, std::min(w, a.end - ci), stats);
-    const std::uint32_t cj_begin = same_leaf ? ci : b.begin;
-    for (std::uint32_t cj = cj_begin; cj < b.end; cj += w) {
-      fj.fill(kernel, perm + cj, std::min(w, b.end - cj), stats);
-      warp_tile<TileSide::kBoth>(kernel, fi, fj, w, same_leaf && ci == cj,
-                                 stats);
+    for (std::uint32_t cj = ci; cj < a.end; cj += w) {
+      fj.fill(kernel, perm + cj, std::min(w, a.end - cj), stats);
+      warp_tile<TileSide::kBoth>(kernel, fi, fj, w, ci == cj, stats);
     }
   }
 }
 
 /// One-sided warp-split evaluation of cross pair (leaf_a, leaf_b): only
 /// the `side` accumulators run. The OWNER's chunk loop is outermost with
-/// its lane file hoisted; for kJ that transposes the serial (ci, cj)
+/// its lane file hoisted; for kJ that transposes the both-sides (ci, cj)
 /// visit order, which is safe because the reordered tiles store to
 /// DIFFERENT owner chunks (disjoint particles) while each owner chunk
-/// still sees its partner tiles in the serial ci order.
+/// still sees its partner tiles in ascending ci order.
 template <typename Kernel>
 void warp_split_pair_sided(Kernel& kernel, const tree::ChainingMesh& cm,
                            std::uint32_t leaf_a, std::uint32_t leaf_b,
@@ -302,45 +286,11 @@ void warp_split_pair_sided(Kernel& kernel, const tree::ChainingMesh& cm,
   }
 }
 
-/// Evaluate a contiguous sub-range [first, last) of the pair list. Under
-/// the kSimd schedule, kernels with a SIMD form take the vector tile
-/// engine; wrapper kernels (DeferredStoreKernel, test kernels with
-/// double accumulators) fall back to scalar tiles — still bitwise.
-template <typename Kernel>
-void run_pair_range(
-    Kernel& kernel, const tree::ChainingMesh& cm,
-    std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
-    std::size_t first, std::size_t last, const LaunchConfig& config,
-    LaunchStats& stats) {
-  if (config.mode == LaunchMode::kNaive) {
-    for (std::size_t q = first; q < last; ++q) {
-      const auto [la, lb] = pairs[q];
-      const bool same = la == lb;
-      naive_side(kernel, cm, cm.leaf(la), cm.leaf(lb), same, stats);
-      if (!same) {
-        naive_side(kernel, cm, cm.leaf(lb), cm.leaf(la), false, stats);
-      }
-    }
-    return;
-  }
-  if constexpr (SimdPairKernel<Kernel>) {
-    if (config.schedule == LaunchSchedule::kSimd) {
-      for (std::size_t q = first; q < last; ++q) {
-        const auto [la, lb] = pairs[q];
-        simd_pair(kernel, cm, la, lb, config, stats);
-      }
-      return;
-    }
-  }
-  for (std::size_t q = first; q < last; ++q) {
-    const auto [la, lb] = pairs[q];
-    warp_split_pair(kernel, cm, la, lb, config.warp_size, stats);
-  }
-}
-
 /// Evaluate every entry of plan owner `t`: the tiles that accumulate onto
-/// that owner's particles, in pair order. SIMD fallback rules as in
-/// run_pair_range.
+/// that owner's particles, in pair order. Under the kSimd schedule,
+/// kernels with a SIMD form take the vector tile engine; kernels without
+/// one (test kernels with double accumulators) run the scalar tiles —
+/// still bitwise.
 template <typename Kernel>
 void run_owner_entries(Kernel& kernel, const tree::ChainingMesh& cm,
                        const LaunchPlan& plan, std::size_t t,
@@ -357,7 +307,7 @@ void run_owner_entries(Kernel& kernel, const tree::ChainingMesh& cm,
       if (config.schedule == LaunchSchedule::kSimd) {
         switch (e.side) {
           case LaunchPlan::Side::kBoth:
-            simd_pair(kernel, cm, owner, owner, config, stats);
+            simd_pair(kernel, cm, owner, config, stats);
             break;
           case LaunchPlan::Side::kISide:
             simd_pair_sided(kernel, cm, owner, e.partner, config,
@@ -373,7 +323,7 @@ void run_owner_entries(Kernel& kernel, const tree::ChainingMesh& cm,
     }
     switch (e.side) {
       case LaunchPlan::Side::kBoth:
-        warp_split_pair(kernel, cm, owner, owner, config.warp_size, stats);
+        warp_split_pair(kernel, cm, owner, config.warp_size, stats);
         break;
       case LaunchPlan::Side::kISide:
         warp_split_pair_sided(kernel, cm, owner, e.partner, config.warp_size,
@@ -387,45 +337,8 @@ void run_owner_entries(Kernel& kernel, const tree::ChainingMesh& cm,
   }
 }
 
-/// Forwards load/partial/interact to the wrapped kernel (shared read-only
-/// across workers) and captures store() calls into a chunk-private buffer
-/// for ordered replay on the calling thread.
-template <typename Kernel>
-class DeferredStoreKernel {
- public:
-  using State = typename Kernel::State;
-  using Partial = typename Kernel::Partial;
-  using Accum = typename Kernel::Accum;
-  static constexpr const char* kName = Kernel::kName;
-  static constexpr double kFlopsPerInteraction = Kernel::kFlopsPerInteraction;
-  static constexpr double kFlopsPerPartial = Kernel::kFlopsPerPartial;
-
-  DeferredStoreKernel(const Kernel& kernel,
-                      std::vector<std::pair<std::uint32_t, Accum>>& stores)
-      : kernel_(kernel), stores_(stores) {}
-
-  State load(std::uint32_t i) const { return kernel_.load(i); }
-  Partial partial(const State& s) const { return kernel_.partial(s); }
-  void interact(const State& self, const Partial& self_p, const State& other,
-                const Partial& other_p, Accum& acc) const {
-    kernel_.interact(self, self_p, other, other_p, acc);
-  }
-  void store(std::uint32_t i, const Accum& acc) {
-    stores_.emplace_back(i, acc);
-  }
-
- private:
-  const Kernel& kernel_;
-  std::vector<std::pair<std::uint32_t, Accum>>& stores_;
-};
-
-/// Pairs per deferred-store chunk. Fixed (never derived from the thread
-/// count) so the chunk decomposition — and therefore the store-replay
-/// order — is identical for every pool size.
-inline constexpr std::size_t kPairsPerChunk = 8;
-
 /// Per-thread working-set estimate of a launch under `config` (the
-/// register_bytes_per_thread stat), shared by every launch entry point.
+/// register_bytes_per_thread stat).
 template <typename Kernel>
 std::size_t register_footprint(const LaunchConfig& config) {
   std::size_t bytes;
@@ -449,157 +362,45 @@ std::size_t register_footprint(const LaunchConfig& config) {
   return bytes;
 }
 
-/// Shared implementation behind the public overloads. `plan` may be null
-/// unless the launch takes the parallel leaf-owner path.
-template <typename Kernel>
-LaunchStats launch_impl(
-    Kernel& kernel, const tree::ChainingMesh& cm,
-    std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
-    const LaunchPlan* plan, const LaunchConfig& config,
-    util::ThreadPool* pool) {
-  const char* invalid = config.invalid_reason();
-  CHECK_MSG(invalid == nullptr, (invalid ? invalid : ""));
-
-  LaunchStats stats;
-  Stopwatch watch;
-  stats.register_bytes_per_thread = detail::register_footprint<Kernel>(config);
-  if (!pool || pool->num_threads() <= 1) {
-    detail::run_pair_range(kernel, cm, pairs, 0, pairs.size(), config, stats);
-  } else if (config.schedule == LaunchSchedule::kLeafOwner ||
-             config.schedule == LaunchSchedule::kSimd) {
-    // kSimd shares the owner-leaf decomposition: same task granularity,
-    // same store ownership, only the tile engine differs.
-    CHECK_MSG(plan != nullptr,
-              "parallel leaf-owner launch requires a LaunchPlan");
-    // One task per owner leaf; each accumulates in place into disjoint
-    // particles, so there is nothing to replay and nothing to buffer.
-    std::vector<LaunchStats> owner_stats(plan->num_owners());
-    pool->parallel_for(0, plan->num_owners(), 1,
-                       [&](std::size_t lo, std::size_t hi, std::size_t c) {
-                         for (std::size_t t = lo; t < hi; ++t) {
-                           detail::run_owner_entries(kernel, cm, *plan, t,
-                                                     config, owner_stats[c]);
-                         }
-                       });
-    for (const LaunchStats& s : owner_stats) {
-      stats.merge(s, MergeTiming::kExclusive);
-    }
-  } else {
-    using Accum = typename Kernel::Accum;
-    struct ChunkResult {
-      LaunchStats stats;
-      std::vector<std::pair<std::uint32_t, Accum>> stores;
-    };
-    const std::size_t nchunks =
-        (pairs.size() + detail::kPairsPerChunk - 1) / detail::kPairsPerChunk;
-    std::vector<ChunkResult> chunks(nchunks);
-    pool->parallel_for(
-        0, pairs.size(), detail::kPairsPerChunk,
-        [&](std::size_t lo, std::size_t hi, std::size_t c) {
-          detail::DeferredStoreKernel<Kernel> deferred(kernel,
-                                                       chunks[c].stores);
-          detail::run_pair_range(deferred, cm, pairs, lo, hi, config,
-                                 chunks[c].stats);
-        });
-    // Ordered replay: chunk order x in-chunk order == serial pair order.
-    std::uint64_t buffered_bytes = 0;
-    for (auto& chunk : chunks) {
-      for (const auto& [i, acc] : chunk.stores) kernel.store(i, acc);
-      buffered_bytes += chunk.stores.capacity() *
-                        sizeof(std::pair<std::uint32_t, Accum>);
-      stats.merge(chunk.stats, MergeTiming::kExclusive);
-    }
-    // All chunk buffers are alive simultaneously between the region end
-    // and the replay — the O(interactions) transient the leaf-owner
-    // schedule eliminates.
-    stats.store_buffer_bytes = buffered_bytes;
-  }
-  stats.seconds = watch.seconds();
-  stats.flops = static_cast<double>(stats.interactions) *
-                    Kernel::kFlopsPerInteraction +
-                static_cast<double>(stats.partial_evals) *
-                    Kernel::kFlopsPerPartial;
-  return stats;
-}
-
 }  // namespace detail
 
-/// Execute `kernel` over the owner plan's pair work. Serial (no pool, or
-/// one thread) launches run the canonical pair-by-pair order; parallel
-/// launches follow config.schedule (see the header comment). Bitwise
-/// identical to serial for any thread count under BOTH schedules.
+/// Execute `kernel` over the plan's owner tasks, skipping the tasks
+/// flagged in `skip_task` (nullable, indexed by TASK position t, not by
+/// leaf — the work-packet migration donor flags its migrated tasks, see
+/// core/load_balancer.h). With no pool or a one-thread pool the tasks
+/// run in a plain loop, otherwise one parallel_for task per owner; the
+/// decomposition is the same either way, so the result is bitwise
+/// identical for every thread count and so is every LaunchStats counter.
 template <typename Kernel>
 LaunchStats launch_pair_kernel(Kernel& kernel, const tree::ChainingMesh& cm,
                                const LaunchPlan& plan,
                                const LaunchConfig& config,
-                               util::ThreadPool* pool = nullptr) {
-  return detail::launch_impl(kernel, cm, plan.pairs(), &plan, config, pool);
-}
-
-/// Convenience overload building the plan on demand. Pairs must satisfy
-/// first <= second (as produced by ChainingMesh::interaction_pairs); both
-/// orientations are accumulated. Callers launching several kernels over
-/// one pair list should build the LaunchPlan once and use the overload
-/// above.
-template <typename Kernel>
-LaunchStats launch_pair_kernel(
-    Kernel& kernel, const tree::ChainingMesh& cm,
-    std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
-    const LaunchConfig& config, util::ThreadPool* pool = nullptr) {
-  if (pool && pool->num_threads() > 1 &&
-      (config.schedule == LaunchSchedule::kLeafOwner ||
-       config.schedule == LaunchSchedule::kSimd)) {
-    const LaunchPlan plan(cm, pairs);
-    return detail::launch_impl(kernel, cm, plan.pairs(), &plan, config, pool);
-  }
-  return detail::launch_impl(kernel, cm, pairs, nullptr, config, pool);
-}
-
-/// Execute exactly the plan's owner tasks — the one-task-per-owner-leaf
-/// decomposition — skipping tasks flagged in `skip_task` (nullable,
-/// indexed by TASK position t, not by leaf). The work-packet migration
-/// entry point (core/load_balancer.h): the donor launches with its
-/// migrated tasks flagged, the helper launches a packet-rebuilt plan
-/// with no flags.
-///
-/// Unlike launch_pair_kernel, SERIAL launches also run the owner
-/// decomposition rather than the canonical pair order — a subset launch
-/// has no pair-walk equivalent. Per particle this changes nothing: a
-/// particle is stored to only by its owner's task, whose tile order
-/// equals the serial pair order (the leaf-owner bitwise contract), so
-/// results are bitwise identical to a pair-order launch for every
-/// schedule, including kDeferredStore configs (owner tasks write
-/// disjoint particles in place; there is nothing to defer).
-template <typename Kernel>
-LaunchStats launch_owner_tasks(Kernel& kernel, const tree::ChainingMesh& cm,
-                               const LaunchPlan& plan,
-                               const LaunchConfig& config,
-                               const std::uint8_t* skip_task = nullptr,
-                               util::ThreadPool* pool = nullptr) {
+                               util::ThreadPool* pool = nullptr,
+                               const std::uint8_t* skip_task = nullptr) {
   const char* invalid = config.invalid_reason();
   CHECK_MSG(invalid == nullptr, (invalid ? invalid : ""));
 
   LaunchStats stats;
   Stopwatch watch;
   stats.register_bytes_per_thread = detail::register_footprint<Kernel>(config);
-  if (!pool || pool->num_threads() <= 1) {
-    for (std::size_t t = 0; t < plan.num_owners(); ++t) {
+  const auto run_tasks = [&](std::size_t lo, std::size_t hi,
+                             LaunchStats& out) {
+    for (std::size_t t = lo; t < hi; ++t) {
       if (skip_task && skip_task[t]) continue;
-      detail::run_owner_entries(kernel, cm, plan, t, config, stats);
+      detail::run_owner_entries(kernel, cm, plan, t, config, out);
     }
+  };
+  if (!pool || pool->num_threads() <= 1) {
+    run_tasks(0, plan.num_owners(), stats);
   } else {
-    std::vector<LaunchStats> owner_stats(plan.num_owners());
+    // Owner tasks store to disjoint particles in place: nothing to
+    // buffer, only the per-chunk counters to sum.
+    std::vector<LaunchStats> chunk_stats(plan.num_owners());
     pool->parallel_for(0, plan.num_owners(), 1,
                        [&](std::size_t lo, std::size_t hi, std::size_t c) {
-                         for (std::size_t t = lo; t < hi; ++t) {
-                           if (skip_task && skip_task[t]) continue;
-                           detail::run_owner_entries(kernel, cm, plan, t,
-                                                     config, owner_stats[c]);
-                         }
+                         run_tasks(lo, hi, chunk_stats[c]);
                        });
-    for (const LaunchStats& s : owner_stats) {
-      stats.merge(s, MergeTiming::kExclusive);
-    }
+    for (const LaunchStats& s : chunk_stats) stats += s;
   }
   stats.seconds = watch.seconds();
   stats.flops = static_cast<double>(stats.interactions) *

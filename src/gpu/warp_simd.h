@@ -5,7 +5,7 @@
 // its partners in a fixed, serial order. This engine evaluates
 // simd::kWidth of those lanes per instruction while preserving exactly
 // that per-accumulator order, which is what makes kSimd bitwise identical
-// to the serial scalar driver (with SimdMath::kExact):
+// to the scalar tiles (with SimdMath::kExact):
 //
 //  * Lane buffers are padded SoA arrays with modulo replication: slot k
 //    holds lane (k mod w), so slots [base + t, base + t + kWidth) are the
@@ -21,7 +21,7 @@
 //    scalar skip exactly. The diagonal (l == m) occurs only at t = 0, so
 //    same-chunk tiles simply start the rotation at t = 1.
 //
-//  * The one-sided tile walks of the leaf-owner schedule (TileSide::kI
+//  * The one-sided tile walks of the owner tasks (TileSide::kI
 //    forward wrap, TileSide::kJ backward wrap — see warp_tile's header
 //    comment) ARE the rotation order, so the same rows routine serves
 //    kBoth / kI / kJ with a direction flag; per-accumulator operand
@@ -44,8 +44,8 @@
 namespace crkhacc::gpu::detail {
 
 /// Which accumulator half of a tile is live. kBoth is the symmetric
-/// evaluation of the serial driver; kI / kJ are the one-sided halves the
-/// leaf-owner schedule splits a cross pair into. (Defined here, below
+/// evaluation of a self pair's tiles; kI / kJ are the one-sided halves
+/// the owner tasks split a cross pair into. (Defined here, below
 /// warp.h's includes, so both the scalar and SIMD drivers share it.)
 enum class TileSide : std::uint8_t { kBoth, kI, kJ };
 
@@ -154,26 +154,22 @@ void simd_warp_tile_both(Kernel& kernel, const SimdLaneBuffer<Kernel>& bi,
   }
 }
 
-/// Both-sides vector evaluation of pair (leaf_a, leaf_b) — the kSimd
-/// serial driver, chunk-loop structure identical to warp_split_pair.
+/// Both-sides vector evaluation of self pair (leaf, leaf), chunk-loop
+/// structure identical to warp_split_pair.
 template <typename Math, typename Kernel>
 void simd_warp_split_pair(Kernel& kernel, const tree::ChainingMesh& cm,
-                          std::uint32_t leaf_a, std::uint32_t leaf_b,
-                          std::uint32_t warp_size, LaunchStats& stats) {
-  const tree::Leaf& a = cm.leaf(leaf_a);
-  const tree::Leaf& b = cm.leaf(leaf_b);
+                          std::uint32_t leaf, std::uint32_t warp_size,
+                          LaunchStats& stats) {
+  const tree::Leaf& a = cm.leaf(leaf);
   const std::uint32_t* perm = cm.permutation().data();
   const std::uint32_t w = std::min(warp_size / 2, kMaxHalfWarp);
-  const bool same_leaf = leaf_a == leaf_b;
 
   SimdLaneBuffer<Kernel> bi, bj;
   for (std::uint32_t ci = a.begin; ci < a.end; ci += w) {
     bi.fill(kernel, perm + ci, std::min(w, a.end - ci), w, stats);
-    const std::uint32_t cj_begin = same_leaf ? ci : b.begin;
-    for (std::uint32_t cj = cj_begin; cj < b.end; cj += w) {
-      bj.fill(kernel, perm + cj, std::min(w, b.end - cj), w, stats);
-      simd_warp_tile_both<Math>(kernel, bi, bj, w, same_leaf && ci == cj,
-                                stats);
+    for (std::uint32_t cj = ci; cj < a.end; cj += w) {
+      bj.fill(kernel, perm + cj, std::min(w, a.end - cj), w, stats);
+      simd_warp_tile_both<Math>(kernel, bi, bj, w, ci == cj, stats);
     }
   }
 }
@@ -213,17 +209,17 @@ void simd_warp_split_pair_sided(Kernel& kernel, const tree::ChainingMesh& cm,
   }
 }
 
-/// SimdMath policy dispatch for a both-sides pair.
+/// SimdMath policy dispatch for a self pair.
 template <typename Kernel>
 void simd_pair(Kernel& kernel, const tree::ChainingMesh& cm,
-               std::uint32_t leaf_a, std::uint32_t leaf_b,
-               const LaunchConfig& config, LaunchStats& stats) {
+               std::uint32_t leaf, const LaunchConfig& config,
+               LaunchStats& stats) {
   if (config.simd_math == SimdMath::kFused) {
-    simd_warp_split_pair<simd::FusedMath>(kernel, cm, leaf_a, leaf_b,
-                                          config.warp_size, stats);
+    simd_warp_split_pair<simd::FusedMath>(kernel, cm, leaf, config.warp_size,
+                                          stats);
   } else {
-    simd_warp_split_pair<simd::ExactMath>(kernel, cm, leaf_a, leaf_b,
-                                          config.warp_size, stats);
+    simd_warp_split_pair<simd::ExactMath>(kernel, cm, leaf, config.warp_size,
+                                          stats);
   }
 }
 

@@ -1,7 +1,6 @@
 #include "gravity/short_range.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "cosmology/units.h"
 #include "util/trace.h"
@@ -14,35 +13,23 @@ gpu::LaunchStats compute_short_range(
     const std::uint8_t* active, gpu::FlopRegistry& flops,
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>* pairs,
     util::ThreadPool* pool) {
-  // Without a split the kernel is pure Newtonian and every neighbor-bin
-  // leaf pair interacts (1e15 >> any box, still finite when squared).
-  const double cutoff = split ? split->cutoff() : 1e15;
-  const float scale = static_cast<float>(units::kGravity / (a * a));
-  ShortRangeKernel kernel(particles, active, split, scale, config.softening,
-                          static_cast<float>(cutoff));
   std::vector<std::pair<std::uint32_t, std::uint32_t>> own_pairs;
   if (!pairs) {
-    own_pairs = mesh.interaction_pairs(cutoff);
+    // Without a split the kernel is pure Newtonian and every neighbor-bin
+    // leaf pair interacts (1e15 >> any box, still finite when squared).
+    own_pairs = mesh.interaction_pairs(split ? split->cutoff() : 1e15);
     pairs = &own_pairs;
   }
-  // Build the plan unconditionally (the serial path reads its pair list
-  // too) so plan construction is one traced structural point per call,
-  // independent of thread count and LaunchSchedule.
-  std::optional<gpu::LaunchPlan> plan;
+  gpu::LaunchPlan plan;
   {
     HACC_TRACE_SPAN("launch_plan");
-    plan.emplace(mesh, *pairs);
+    plan = gpu::LaunchPlan(mesh, *pairs);
   }
-  gpu::LaunchStats stats;
-  {
-    HACC_TRACE_SPAN(ShortRangeKernel::kName);
-    stats = gpu::launch_pair_kernel(kernel, mesh, *plan, config.launch, pool);
-  }
-  flops.add(ShortRangeKernel::kName, stats.flops, stats.seconds);
-  return stats;
+  return compute_short_range(particles, mesh, plan, split, config, a, active,
+                             flops, nullptr, pool);
 }
 
-gpu::LaunchStats compute_short_range_owner_tasks(
+gpu::LaunchStats compute_short_range(
     Particles& particles, const tree::ChainingMesh& mesh,
     const gpu::LaunchPlan& plan, const mesh::ForceSplit* split,
     const GravityConfig& config, double a, const std::uint8_t* active,
@@ -55,8 +42,8 @@ gpu::LaunchStats compute_short_range_owner_tasks(
   gpu::LaunchStats stats;
   {
     HACC_TRACE_SPAN(ShortRangeKernel::kName);
-    stats = gpu::launch_owner_tasks(kernel, mesh, plan, config.launch,
-                                    skip_task, pool);
+    stats = gpu::launch_pair_kernel(kernel, mesh, plan, config.launch, pool,
+                                    skip_task);
   }
   flops.add(ShortRangeKernel::kName, stats.flops, stats.seconds);
   return stats;
@@ -87,20 +74,10 @@ comm::WorkReply execute_work_packet(const comm::WorkPacket& packet,
   const gpu::LaunchPlan plan = gpu::LaunchPlan::from_owner_tasks(
       packet.task_owner, packet.task_entry_begin, std::move(entries));
 
-  const double cutoff = split ? split->cutoff() : 1e15;
-  const float scale =
-      static_cast<float>(units::kGravity / (packet.a_mid * packet.a_mid));
   // Every slot is stored (active = nullptr): the donor applies its own
   // activity mask when it copies the reply back.
-  ShortRangeKernel kernel(scratch, nullptr, split, scale, config.softening,
-                          static_cast<float>(cutoff));
-  gpu::LaunchStats stats;
-  {
-    HACC_TRACE_SPAN(ShortRangeKernel::kName);
-    stats = gpu::launch_owner_tasks(kernel, mesh, plan, config.launch,
-                                    nullptr, pool);
-  }
-  flops.add(ShortRangeKernel::kName, stats.flops, stats.seconds);
+  compute_short_range(scratch, mesh, plan, split, config, packet.a_mid,
+                      nullptr, flops, nullptr, pool);
 
   comm::WorkReply reply;
   reply.substep = packet.substep;

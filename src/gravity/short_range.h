@@ -5,7 +5,11 @@
 // force times the split factor f_s(r) (mesh/force_split.h), so that
 // PM + short-range sums to the full 1/r^2 force. A Plummer softening
 // regularizes close encounters at the force-resolution scale. Runs as a
-// warp-split leaf-pair kernel like every other short-range operator.
+// warp-split leaf-pair kernel like every other short-range operator,
+// through gpu::launch_pair_kernel's owner tasks: the pair-list entry
+// point builds the launch plan and hands it to the plan entry point,
+// which the load balancer's donor (with skipped tasks) and helper (with
+// a packet's rebuilt plan) call directly.
 #pragma once
 
 #include <cmath>
@@ -167,7 +171,7 @@ class ShortRangeKernel {
 
 struct GravityConfig {
   float softening = 0.05f;  ///< Plummer softening (code length)
-  /// Pair-kernel launch policy (warp size, mode, pool schedule).
+  /// Pair-kernel launch policy (warp size, mode, tile engine).
   gpu::LaunchConfig launch;
 };
 
@@ -175,9 +179,9 @@ struct GravityConfig {
 /// over every species). Accumulates into ax/ay/az; `a` is the scale
 /// factor (1 = non-cosmological => pure Newtonian requires split=null).
 /// If `pairs` is non-null, uses the caller's (active-filtered) leaf pair
-/// list instead of building one. With a pool, the launch follows
-/// config.launch.schedule — owner-leaf accumulation by default — and is
-/// bitwise identical to serial for any thread count.
+/// list instead of building one. Builds the launch plan over that list
+/// and runs the plan overload below, so the result is bitwise identical
+/// for any thread count.
 gpu::LaunchStats compute_short_range(
     Particles& particles, const tree::ChainingMesh& mesh,
     const mesh::ForceSplit* split, const GravityConfig& config, double a,
@@ -186,17 +190,17 @@ gpu::LaunchStats compute_short_range(
         nullptr,
     util::ThreadPool* pool = nullptr);
 
-/// Donor-side launch of a caller-built plan under work-packet migration
-/// (core/load_balancer.h): runs the owner-task decomposition, skipping
-/// the tasks flagged in `skip_task` (indexed by task position, as
-/// passed to gpu::launch_owner_tasks). Kernel construction matches
-/// compute_short_range exactly, so the executed tasks are bitwise
-/// identical to the unbalanced launch per particle.
-gpu::LaunchStats compute_short_range_owner_tasks(
+/// Launch over a caller-built plan, skipping the owner tasks flagged in
+/// `skip_task` (nullable, indexed by task position, as passed to
+/// gpu::launch_pair_kernel). The work-packet migration donor
+/// (core/load_balancer.h) flags its migrated tasks; the helper runs the
+/// packet's rebuilt plan unflagged. Either way each executed task is
+/// bitwise identical per particle to the unskipped launch.
+gpu::LaunchStats compute_short_range(
     Particles& particles, const tree::ChainingMesh& mesh,
     const gpu::LaunchPlan& plan, const mesh::ForceSplit* split,
     const GravityConfig& config, double a, const std::uint8_t* active,
-    gpu::FlopRegistry& flops, const std::uint8_t* skip_task,
+    gpu::FlopRegistry& flops, const std::uint8_t* skip_task = nullptr,
     util::ThreadPool* pool = nullptr);
 
 /// Helper-side execution of a migrated work packet: rebuild the donor's

@@ -35,7 +35,7 @@ struct SphConfig {
   float h_change_limit = 1.25f;  ///< max h growth/shrink factor per step
   float h_max = 1e30f;  ///< absolute cap (half the CM bin support limit)
   ViscosityParams viscosity;
-  /// Pair-kernel launch policy (warp size, mode, pool schedule). The
+  /// Pair-kernel launch policy (warp size, mode, tile engine). The
   /// 64-lane default matches AMD-style warps.
   gpu::LaunchConfig launch;
   bool use_crk = true;  ///< false = plain-SPH baseline (A=1, B=0)

@@ -8,7 +8,6 @@
 
 #include <cstring>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "comm/world.h"
@@ -312,15 +311,6 @@ TEST(MemFaultInjector, ArmedRefsBalanceAcrossArmDisarmAndSimDeath) {
     EXPECT_EQ(injector.armed_refs(), 0);
   });
 }
-
-// --- legacy constructor ------------------------------------------------------
-
-// The deprecated private-context constructor must stay constructible for
-// one release even though no in-repo caller uses it.
-static_assert(
-    std::is_constructible_v<Simulation, comm::Communicator&,
-                            const SimConfig&>,
-    "legacy Simulation(comm, config) constructor must remain available");
 
 }  // namespace
 }  // namespace crkhacc::core

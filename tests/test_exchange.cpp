@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "comm/decomposition.h"
@@ -256,16 +257,33 @@ not_a_real_key = 7
 TEST(ParamFile, AppliesLaunchKeysAndRejectsDegenerateWarpSize) {
   const auto params = ParamFile::parse(R"(
 launch_mode = naive
-launch_schedule = deferred_store
+launch_schedule = leaf_owner
 )");
   ASSERT_TRUE(params.has_value());
   SimConfig config;
+  config.sph.launch.schedule = gpu::LaunchSchedule::kSimd;
+  config.gravity.launch.schedule = gpu::LaunchSchedule::kSimd;
   EXPECT_TRUE(params->apply(config).empty());
   EXPECT_EQ(config.sph.launch.mode, gpu::LaunchMode::kNaive);
   EXPECT_EQ(config.gravity.launch.mode, gpu::LaunchMode::kNaive);
-  EXPECT_EQ(config.sph.launch.schedule, gpu::LaunchSchedule::kDeferredStore);
-  EXPECT_EQ(config.gravity.launch.schedule,
-            gpu::LaunchSchedule::kDeferredStore);
+  EXPECT_EQ(config.sph.launch.schedule, gpu::LaunchSchedule::kLeafOwner);
+  EXPECT_EQ(config.gravity.launch.schedule, gpu::LaunchSchedule::kLeafOwner);
+
+  // The deferred-store replay schedule is retired: it and its alias are
+  // flagged like any unknown value, and the previous schedule stays.
+  for (const char* retired : {"deferred_store", "replay"}) {
+    const auto old = ParamFile::parse(std::string("launch_schedule = ") +
+                                      retired + "\n");
+    ASSERT_TRUE(old.has_value());
+    SimConfig keep;
+    keep.sph.launch.schedule = gpu::LaunchSchedule::kSimd;
+    keep.gravity.launch.schedule = gpu::LaunchSchedule::kSimd;
+    const auto flagged = old->apply(keep);
+    ASSERT_EQ(flagged.size(), 1u) << retired;
+    EXPECT_EQ(flagged[0], "launch_schedule");
+    EXPECT_EQ(keep.sph.launch.schedule, gpu::LaunchSchedule::kSimd);
+    EXPECT_EQ(keep.gravity.launch.schedule, gpu::LaunchSchedule::kSimd);
+  }
 
   // warp_size = 1 would make the warp-split half-warp zero lanes wide
   // and hang the tile loop; the parser must refuse it and keep the

@@ -3,9 +3,9 @@
 // The central properties: the naive and warp-split drivers produce the
 // same physics for any kernel written against the concept, the warp-split
 // driver performs measurably fewer global loads and partial evaluations —
-// the exact claim of the paper's Algorithm 1 — and every parallel
-// schedule (leaf-owner, deferred-store) is bitwise identical to the
-// serial launch for any thread count and any leaf/warp geometry.
+// the exact claim of the paper's Algorithm 1 — and a threaded launch is
+// bitwise identical to the serial launch, counters included, for any
+// leaf/warp geometry.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -110,14 +110,15 @@ std::vector<double> run_phi(const Particles& p, const tree::ChainingMesh& mesh,
                             LaunchStats* stats_out = nullptr) {
   std::vector<double> phi(p.size(), 0.0);
   SeparableKernel kernel(p, phi);
-  const auto stats = launch_pair_kernel(kernel, mesh, pairs, config, pool);
+  const auto stats =
+      launch_pair_kernel(kernel, mesh, LaunchPlan(mesh, pairs), config, pool);
   if (stats_out) *stats_out = stats;
   return phi;
 }
 
 /// The edge-geometry contract: naive ≡ warp-split (to rounding) and, for
-/// each mode, serial ≡ 8-thread leaf-owner ≡ 8-thread deferred-store,
-/// bitwise.
+/// each mode, serial ≡ 8-thread, bitwise and on every LaunchStats counter
+/// (both walk the same owner tasks).
 void expect_all_drivers_agree(const Particles& p,
                               const tree::ChainingMesh& mesh,
                               const PairList& pairs,
@@ -125,15 +126,18 @@ void expect_all_drivers_agree(const Particles& p,
   util::ThreadPool pool(8);
   std::vector<std::vector<double>> by_mode;
   for (const LaunchMode mode : {LaunchMode::kNaive, LaunchMode::kWarpSplit}) {
-    LaunchConfig config{.warp_size = warp_size, .mode = mode};
-    const auto serial = run_phi(p, mesh, pairs, config);
-    config.schedule = LaunchSchedule::kLeafOwner;
-    EXPECT_EQ(run_phi(p, mesh, pairs, config, &pool), serial)
-        << "leaf-owner @8 threads diverged from serial, warp " << warp_size;
-    config.schedule = LaunchSchedule::kDeferredStore;
-    EXPECT_EQ(run_phi(p, mesh, pairs, config, &pool), serial)
-        << "deferred-store @8 threads diverged from serial, warp "
-        << warp_size;
+    const LaunchConfig config{.warp_size = warp_size, .mode = mode};
+    LaunchStats serial_stats, threaded_stats;
+    const auto serial = run_phi(p, mesh, pairs, config, nullptr, &serial_stats);
+    EXPECT_EQ(run_phi(p, mesh, pairs, config, &pool, &threaded_stats), serial)
+        << "8 threads diverged from serial, warp " << warp_size;
+    EXPECT_EQ(threaded_stats.interactions, serial_stats.interactions);
+    EXPECT_EQ(threaded_stats.global_loads, serial_stats.global_loads);
+    EXPECT_EQ(threaded_stats.partial_evals, serial_stats.partial_evals);
+    EXPECT_EQ(threaded_stats.stores, serial_stats.stores);
+    EXPECT_EQ(threaded_stats.register_bytes_per_thread,
+              serial_stats.register_bytes_per_thread);
+    EXPECT_EQ(threaded_stats.flops, serial_stats.flops);
     by_mode.push_back(serial);
   }
   ASSERT_EQ(by_mode.size(), 2u);
@@ -264,15 +268,11 @@ TEST(SchedulerGeometry, EmptyPairList) {
   mesh.build(p);
   const PairList no_pairs;
   util::ThreadPool pool(8);
-  for (const auto schedule :
-       {LaunchSchedule::kLeafOwner, LaunchSchedule::kDeferredStore}) {
-    LaunchStats stats;
-    const auto phi = run_phi(p, mesh, no_pairs,
-                             LaunchConfig{.schedule = schedule}, &pool, &stats);
-    EXPECT_EQ(stats.interactions, 0u);
-    EXPECT_EQ(stats.stores, 0u);
-    for (const double v : phi) EXPECT_DOUBLE_EQ(v, 0.0);
-  }
+  LaunchStats stats;
+  const auto phi = run_phi(p, mesh, no_pairs, LaunchConfig{}, &pool, &stats);
+  EXPECT_EQ(stats.interactions, 0u);
+  EXPECT_EQ(stats.stores, 0u);
+  for (const double v : phi) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 TEST(SchedulerGeometry, SingleLeafSelfInteraction) {
@@ -307,7 +307,6 @@ TEST(LaunchPlan, OwnerEntriesOrderedByPairIndex) {
   std::size_t cross = 0;
   for (const auto& [la, lb] : pairs) cross += (la != lb) ? 1 : 0;
   EXPECT_EQ(plan.num_entries(), pairs.size() + cross);
-  ASSERT_EQ(plan.pairs().size(), pairs.size());
 
   // Reconstruct the expected per-owner entry sequences by walking the
   // pair list in order — the plan must match exactly.
@@ -340,22 +339,6 @@ TEST(LaunchPlan, OwnerEntriesOrderedByPairIndex) {
   }
 }
 
-TEST(LaunchPlan, CachedPlanMatchesOnDemandLaunch) {
-  const auto p = random_particles(180, 1.0, 29);
-  tree::ChainingMesh mesh(cube(1.0), {2.0, 16});
-  mesh.build(p);
-  const auto pairs = mesh.interaction_pairs(10.0);
-  const LaunchPlan plan(mesh, pairs);
-  util::ThreadPool pool(4);
-  const LaunchConfig config;
-
-  std::vector<double> phi_plan(p.size(), 0.0), phi_pairs(p.size(), 0.0);
-  SeparableKernel k1(p, phi_plan), k2(p, phi_pairs);
-  launch_pair_kernel(k1, mesh, plan, config, &pool);
-  launch_pair_kernel(k2, mesh, pairs, config, &pool);
-  EXPECT_EQ(phi_plan, phi_pairs);
-}
-
 // --- launch config validation ------------------------------------------------
 
 TEST(LaunchConfigValidation, RejectsDegenerateWarpSize) {
@@ -373,11 +356,11 @@ TEST(LaunchConfigDeathTest, LaunchAbortsOnInvalidConfig) {
   const auto p = random_particles(16, 1.0, 31);
   tree::ChainingMesh mesh(cube(1.0), {2.0, 8});
   mesh.build(p);
-  const auto pairs = mesh.interaction_pairs(10.0);
+  const LaunchPlan plan(mesh, mesh.interaction_pairs(10.0));
   std::vector<double> phi(p.size(), 0.0);
   SeparableKernel kernel(p, phi);
   EXPECT_DEATH(
-      launch_pair_kernel(kernel, mesh, pairs, LaunchConfig{.warp_size = 1}),
+      launch_pair_kernel(kernel, mesh, plan, LaunchConfig{.warp_size = 1}),
       "warp_size");
 }
 
@@ -392,7 +375,6 @@ TEST(LaunchStatsTest, MergePolicies) {
   a.flops = 100.0;
   a.seconds = 1.0;
   a.register_bytes_per_thread = 64;
-  a.store_buffer_bytes = 1000;
   LaunchStats b;
   b.interactions = 1;
   b.global_loads = 2;
@@ -401,75 +383,17 @@ TEST(LaunchStatsTest, MergePolicies) {
   b.flops = 50.0;
   b.seconds = 2.0;
   b.register_bytes_per_thread = 128;
-  b.store_buffer_bytes = 500;
 
-  // kAccumulate == operator+=: back-to-back launches sum everything.
-  LaunchStats acc = a;
-  acc.merge(b, MergeTiming::kAccumulate);
-  LaunchStats plus = a;
-  plus += b;
-  EXPECT_EQ(acc.interactions, plus.interactions);
-  EXPECT_DOUBLE_EQ(acc.seconds, 3.0);
-  EXPECT_DOUBLE_EQ(acc.flops, 150.0);
-  EXPECT_EQ(acc.register_bytes_per_thread, 128u);  // max, not sum
-  EXPECT_EQ(acc.store_buffer_bytes, 1000u);        // max, not sum
-
-  // kExclusive: worker stats folded into one launch keep the launch's
-  // own wall clock and flop total.
-  LaunchStats excl = a;
-  excl.merge(b, MergeTiming::kExclusive);
-  EXPECT_EQ(excl.interactions, 11u);
-  EXPECT_EQ(excl.stores, 44u);
-  EXPECT_DOUBLE_EQ(excl.seconds, 1.0);
-  EXPECT_DOUBLE_EQ(excl.flops, 100.0);
-  EXPECT_EQ(excl.register_bytes_per_thread, 128u);
-}
-
-TEST(LaunchStatsTest, StoreBufferBytesOnlyOnDeferredSchedule) {
-  const auto p = random_particles(300, 1.0, 37);
-  tree::ChainingMesh mesh(cube(1.0), {2.0, 16});
-  mesh.build(p);
-  const auto pairs = mesh.interaction_pairs(10.0);
-  util::ThreadPool pool(8);
-
-  LaunchStats serial, owner, deferred;
-  run_phi(p, mesh, pairs, LaunchConfig{}, nullptr, &serial);
-  run_phi(p, mesh, pairs, LaunchConfig{.schedule = LaunchSchedule::kLeafOwner},
-          &pool, &owner);
-  run_phi(p, mesh, pairs,
-          LaunchConfig{.schedule = LaunchSchedule::kDeferredStore}, &pool,
-          &deferred);
-  // In-place accumulation buffers nothing; the replay schedule holds one
-  // captured Accum per store.
-  EXPECT_EQ(serial.store_buffer_bytes, 0u);
-  EXPECT_EQ(owner.store_buffer_bytes, 0u);
-  EXPECT_GT(deferred.store_buffer_bytes,
-            deferred.stores *
-                sizeof(std::pair<std::uint32_t, SeparableKernel::Accum>) / 2);
-  // All three cover the same physics.
-  EXPECT_EQ(owner.interactions, serial.interactions);
-  EXPECT_EQ(deferred.interactions, serial.interactions);
-  EXPECT_EQ(owner.stores, serial.stores);
-}
-
-// --- deprecated positional shim ---------------------------------------------
-
-// The deprecated positional launch_pair_kernel overload is gone: every
-// caller goes through LaunchConfig. This pins that a plan-based launch
-// matches the on-demand pair launch, the path the shim used to forward to.
-TEST(LaunchShim, PlanLaunchMatchesPairLaunch) {
-  const auto p = random_particles(64, 1.0, 41);
-  tree::ChainingMesh mesh(cube(1.0), {2.0, 16});
-  mesh.build(p);
-  const auto pairs = mesh.interaction_pairs(10.0);
-
-  const auto expected =
-      run_phi(p, mesh, pairs, LaunchConfig{.warp_size = 32});
-  std::vector<double> phi(p.size(), 0.0);
-  SeparableKernel kernel(p, phi);
-  const LaunchPlan plan(mesh, pairs);
-  launch_pair_kernel(kernel, mesh, plan, LaunchConfig{.warp_size = 32});
-  EXPECT_EQ(phi, expected);
+  // Back-to-back launches sum the counters and timings; the working set
+  // is a per-thread high-watermark, so it takes the max.
+  a += b;
+  EXPECT_EQ(a.interactions, 11u);
+  EXPECT_EQ(a.global_loads, 22u);
+  EXPECT_EQ(a.partial_evals, 33u);
+  EXPECT_EQ(a.stores, 44u);
+  EXPECT_DOUBLE_EQ(a.seconds, 3.0);
+  EXPECT_DOUBLE_EQ(a.flops, 150.0);
+  EXPECT_EQ(a.register_bytes_per_thread, 128u);
 }
 
 // --- device model ------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "comm/decomposition.h"
@@ -307,9 +308,8 @@ TEST_P(MigrationBitwiseTest, RoundTripMatchesUnbalancedLaunchBitwise) {
 
   Particles local = base;
   gpu::FlopRegistry flops;
-  gravity::compute_short_range_owner_tasks(local, mesh, plan, nullptr, config,
-                                           0.5, active.data(), flops,
-                                           skip.data(), pool_ptr);
+  gravity::compute_short_range(local, mesh, plan, nullptr, config, 0.5,
+                               active.data(), flops, skip.data(), pool_ptr);
   const comm::WorkPacket packet = extract_work_packet(
       local, mesh, plan, skip, 0.5, /*substep=*/7, /*donor_rank=*/3);
   EXPECT_EQ(packet.num_tasks(), migrated);
@@ -319,15 +319,8 @@ TEST_P(MigrationBitwiseTest, RoundTripMatchesUnbalancedLaunchBitwise) {
   apply_work_reply(local, mesh, plan, skip, reply, active.data());
 
   // The helper charged the migrated interactions to the same kernel:
-  // local-skipped + packet FLOPs must equal an unskipped owner-task
-  // launch exactly. (Pair-order launches account partial tiles slightly
-  // differently, so the reference registry is not the right yardstick.)
-  Particles full = base;
-  gpu::FlopRegistry full_flops;
-  gravity::compute_short_range_owner_tasks(full, mesh, plan, nullptr, config,
-                                           0.5, active.data(), full_flops,
-                                           nullptr, pool_ptr);
-  EXPECT_DOUBLE_EQ(flops.total_flops(), full_flops.total_flops());
+  // local-skipped + packet FLOPs must equal the unbalanced launch's.
+  EXPECT_DOUBLE_EQ(flops.total_flops(), ref_flops.total_flops());
   for (std::size_t i = 0; i < base.size(); ++i) {
     ASSERT_EQ(std::bit_cast<std::uint32_t>(local.ax[i]),
               std::bit_cast<std::uint32_t>(reference.ax[i]))
@@ -342,7 +335,6 @@ TEST_P(MigrationBitwiseTest, RoundTripMatchesUnbalancedLaunchBitwise) {
 INSTANTIATE_TEST_SUITE_P(
     Schedules, MigrationBitwiseTest,
     ::testing::Combine(::testing::Values(gpu::LaunchSchedule::kLeafOwner,
-                                         gpu::LaunchSchedule::kDeferredStore,
                                          gpu::LaunchSchedule::kSimd),
                        ::testing::Values(1, 8)),
     [](const ::testing::TestParamInfo<std::tuple<gpu::LaunchSchedule, int>>&
@@ -350,9 +342,7 @@ INSTANTIATE_TEST_SUITE_P(
       const char* name =
           std::get<0>(info.param) == gpu::LaunchSchedule::kLeafOwner
               ? "leafowner"
-              : (std::get<0>(info.param) == gpu::LaunchSchedule::kDeferredStore
-                     ? "deferred"
-                     : "simd");
+              : "simd";
       return std::string(name) + "_t" +
              std::to_string(std::get<1>(info.param));
     });
@@ -390,6 +380,7 @@ struct ClusteredRun {
   double flop_ratio = 0.0;        ///< executed short-range max/mean
   std::uint64_t packets = 0;      ///< migrated packets, all ranks
   double imbalance_before = 0.0;  ///< run-average decision input
+  std::string launch_schedule;    ///< RunResult.launch_schedule
 };
 
 // Two Plummer spheres on a 2x2x1 rank grid: ranks 0 and 3 hold the
@@ -445,6 +436,7 @@ ClusteredRun run_clustered(int threads, gpu::LaunchSchedule schedule,
     std::lock_guard<std::mutex> lock(mu);
     out.flop_ratio = peak / (total / comm.size());
     out.packets = static_cast<std::uint64_t>(packets);
+    out.launch_schedule = result.launch_schedule;
     if (result.lb_steps > 0) {
       out.imbalance_before =
           result.lb_imbalance_before / static_cast<double>(result.lb_steps);
@@ -495,8 +487,7 @@ TEST(LoadBalanceEndToEnd, BalancedRunBitwiseEqualAndImbalanceDrops) {
 TEST(LoadBalanceEndToEnd, BalancedRunsMatchBaselineAcrossSchedulesAndThreads) {
   const auto baseline =
       run_clustered(1, gpu::LaunchSchedule::kLeafOwner, /*lb_threshold=*/0.0);
-  std::vector<gpu::LaunchSchedule> schedules{
-      gpu::LaunchSchedule::kLeafOwner, gpu::LaunchSchedule::kDeferredStore};
+  std::vector<gpu::LaunchSchedule> schedules{gpu::LaunchSchedule::kLeafOwner};
   if (gpu::simd_support().available) {
     schedules.push_back(gpu::LaunchSchedule::kSimd);
   }
@@ -512,6 +503,15 @@ TEST(LoadBalanceEndToEnd, BalancedRunsMatchBaselineAcrossSchedulesAndThreads) {
       expect_bitwise_equal(balanced, baseline);
     }
   }
+}
+
+// run_clustered is gravity-only (hydro off): the reported schedule must be
+// the one its gravity launches ran, not the idle SPH solver's default.
+TEST(RunResultSchedule, GravityOnlyRunReportsGravitySchedule) {
+  if (!gpu::simd::kAvailable) GTEST_SKIP() << "SIMD disabled in this build";
+  const auto run =
+      run_clustered(1, gpu::LaunchSchedule::kSimd, /*lb_threshold=*/0.0);
+  EXPECT_EQ(run.launch_schedule, "simd");
 }
 
 }  // namespace

@@ -159,33 +159,24 @@ TEST_P(ThreadedSweepTest, ShortRangePipelineBitwiseEqualToSerial) {
   threaded_mesh.build(base, &pool);
   ASSERT_EQ(threaded_mesh.permutation(), serial_mesh.permutation());
 
-  auto evaluate = [&](const tree::ChainingMesh& mesh, util::ThreadPool* p_pool,
-                      gpu::LaunchSchedule schedule) {
+  auto evaluate = [&](const tree::ChainingMesh& mesh,
+                      util::ThreadPool* p_pool) {
     Particles p = base;
     gpu::FlopRegistry flops;
-    gravity::GravityConfig gravity_config;
-    gravity_config.launch.schedule = schedule;
-    gravity::compute_short_range(p, mesh, nullptr, gravity_config, 1.0,
-                                 nullptr, flops, nullptr, p_pool);
-    sph::SphConfig sph_config;
-    sph_config.launch.schedule = schedule;
-    sph::SphSolver solver(sph_config);
+    gravity::compute_short_range(p, mesh, nullptr, gravity::GravityConfig{},
+                                 1.0, nullptr, flops, nullptr, p_pool);
+    sph::SphSolver solver(sph::SphConfig{});
     solver.compute_forces(p, mesh, 1.0, nullptr, flops, nullptr, p_pool);
     return p;
   };
-  const Particles serial =
-      evaluate(serial_mesh, nullptr, gpu::LaunchSchedule::kLeafOwner);
-  // Both pool schedules must reproduce the serial pipeline bitwise.
-  for (const auto schedule : {gpu::LaunchSchedule::kLeafOwner,
-                              gpu::LaunchSchedule::kDeferredStore}) {
-    const Particles threaded = evaluate(threaded_mesh, &pool, schedule);
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(threaded.ax[i], serial.ax[i]) << "particle " << i;
-      ASSERT_EQ(threaded.ay[i], serial.ay[i]) << "particle " << i;
-      ASSERT_EQ(threaded.az[i], serial.az[i]) << "particle " << i;
-      ASSERT_EQ(threaded.rho[i], serial.rho[i]) << "particle " << i;
-      ASSERT_EQ(threaded.du[i], serial.du[i]) << "particle " << i;
-    }
+  const Particles serial = evaluate(serial_mesh, nullptr);
+  const Particles threaded = evaluate(threaded_mesh, &pool);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(threaded.ax[i], serial.ax[i]) << "particle " << i;
+    ASSERT_EQ(threaded.ay[i], serial.ay[i]) << "particle " << i;
+    ASSERT_EQ(threaded.az[i], serial.az[i]) << "particle " << i;
+    ASSERT_EQ(threaded.rho[i], serial.rho[i]) << "particle " << i;
+    ASSERT_EQ(threaded.du[i], serial.du[i]) << "particle " << i;
   }
 }
 

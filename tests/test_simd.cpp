@@ -16,7 +16,7 @@
 //      order, diagonal skip, or kI/kJ one-sided walks changes bits;
 //   3. the four production kernels (density, CRK moments, momentum-
 //      energy, short-range gravity with and without a ForceSplit) run
-//      through serial / leaf-owner / deferred-store / kSimd and compared
+//      through serial scalar / leaf-owner / kSimd and compared
 //      byte-for-byte, with LaunchStats parity;
 //   4. the ULP gate for kFused;
 //   5. config validation and param-file parsing for the simd knobs.
@@ -309,7 +309,8 @@ std::vector<float> run_rotation_order(const Particles& p,
   }
   std::vector<float> out(p.size(), 1.0f);
   RotationOrderKernel kernel(tags, out);
-  const auto stats = launch_pair_kernel(kernel, mesh, pairs, config, pool);
+  const auto stats =
+      launch_pair_kernel(kernel, mesh, LaunchPlan(mesh, pairs), config, pool);
   if (stats_out) *stats_out = stats;
   return out;
 }
@@ -361,7 +362,7 @@ struct GasFixture {
   Particles p;
   sph::SphScratch scratch;
   tree::ChainingMesh mesh;
-  PairList pairs;
+  LaunchPlan plan;
 
   GasFixture(std::size_t n_per_dim, double box, std::uint32_t leaf_size,
              std::uint64_t seed)
@@ -403,7 +404,7 @@ struct GasFixture {
       }
     }
     mesh.build(p);
-    pairs = mesh.interaction_pairs(10.0);
+    plan = LaunchPlan(mesh, mesh.interaction_pairs(10.0));
   }
 };
 
@@ -417,7 +418,7 @@ FieldSnapshot run_density(GasFixture& f, const LaunchConfig& config,
   std::fill(f.p.rho.begin(), f.p.rho.end(), 0.0f);
   std::fill(f.scratch.nnbr.begin(), f.scratch.nnbr.end(), 0.0f);
   sph::DensityKernel kernel(f.p, f.scratch, nullptr);
-  const auto stats = launch_pair_kernel(kernel, f.mesh, f.pairs, config, pool);
+  const auto stats = launch_pair_kernel(kernel, f.mesh, f.plan, config, pool);
   if (stats_out) *stats_out = stats;
   FieldSnapshot snap{{"rho", f.p.rho}, {"nnbr", f.scratch.nnbr}};
   f.p.rho = rho_in;
@@ -429,7 +430,7 @@ FieldSnapshot run_moments(GasFixture& f, const LaunchConfig& config,
   std::fill(f.scratch.moments.begin(), f.scratch.moments.end(),
             sph::CrkMoments{});
   sph::CrkMomentKernel kernel(f.p, f.scratch, nullptr);
-  const auto stats = launch_pair_kernel(kernel, f.mesh, f.pairs, config, pool);
+  const auto stats = launch_pair_kernel(kernel, f.mesh, f.plan, config, pool);
   if (stats_out) *stats_out = stats;
   std::vector<float> m0, m1, m2;
   for (const auto& m : f.scratch.moments) {
@@ -449,7 +450,7 @@ FieldSnapshot run_momentum(GasFixture& f, const LaunchConfig& config,
   std::fill(f.scratch.vsig.begin(), f.scratch.vsig.end(), 0.0f);
   sph::MomentumEnergyKernel kernel(f.p, f.scratch, nullptr,
                                    sph::ViscosityParams{});
-  const auto stats = launch_pair_kernel(kernel, f.mesh, f.pairs, config, pool);
+  const auto stats = launch_pair_kernel(kernel, f.mesh, f.plan, config, pool);
   if (stats_out) *stats_out = stats;
   return {{"ax", f.p.ax},
           {"ay", f.p.ay},
@@ -467,7 +468,8 @@ FieldSnapshot run_gravity(Particles& p, const tree::ChainingMesh& mesh,
   std::fill(p.ay.begin(), p.ay.end(), 0.0f);
   std::fill(p.az.begin(), p.az.end(), 0.0f);
   gravity::ShortRangeKernel kernel(p, nullptr, split, 1.0f, 0.05f, 1.9f);
-  const auto stats = launch_pair_kernel(kernel, mesh, pairs, config, pool);
+  const auto stats =
+      launch_pair_kernel(kernel, mesh, LaunchPlan(mesh, pairs), config, pool);
   if (stats_out) *stats_out = stats;
   return {{"ax", p.ax}, {"ay", p.ay}, {"az", p.az}};
 }
@@ -483,8 +485,8 @@ void expect_snapshot_bitwise_eq(const FieldSnapshot& a, const FieldSnapshot& b,
 }
 
 /// The full differential sweep for one runner: serial scalar baseline vs
-/// kSimd serial, kSimd @8 threads, leaf-owner @8, deferred-store @8 —
-/// all bitwise — plus counter parity for the kSimd serial run.
+/// kSimd serial, kSimd @8 threads, leaf-owner @8 — all bitwise — plus
+/// counter parity for the kSimd serial run.
 template <typename Runner>
 void differential_sweep(Runner&& run, std::uint32_t warp_size,
                         const std::string& label) {
@@ -502,15 +504,9 @@ void differential_sweep(Runner&& run, std::uint32_t warp_size,
       run(LaunchConfig{.warp_size = warp_size,
                        .schedule = LaunchSchedule::kLeafOwner},
           &pool, nullptr);
-  const auto deferred_pool =
-      run(LaunchConfig{.warp_size = warp_size,
-                       .schedule = LaunchSchedule::kDeferredStore},
-          &pool, nullptr);
   expect_snapshot_bitwise_eq(scalar, simd_serial, label + " simd serial");
   expect_snapshot_bitwise_eq(scalar, simd_pool, label + " simd @8");
   expect_snapshot_bitwise_eq(scalar, owner_pool, label + " leaf-owner @8");
-  expect_snapshot_bitwise_eq(scalar, deferred_pool,
-                             label + " deferred-store @8");
   expect_counter_parity(scalar_stats, simd_stats, (label + " stats").c_str());
 }
 
@@ -583,7 +579,7 @@ TEST(SimdDifferential, WendlandDensityBitwise) {
     std::fill(f.p.rho.begin(), f.p.rho.end(), 0.0f);
     std::fill(f.scratch.nnbr.begin(), f.scratch.nnbr.end(), 0.0f);
     sph::DensityKernelT<sph::WendlandC4> kernel(f.p, f.scratch, nullptr);
-    launch_pair_kernel(kernel, f.mesh, f.pairs, c, p);
+    launch_pair_kernel(kernel, f.mesh, f.plan, c, p);
     FieldSnapshot snap{{"rho", f.p.rho}, {"nnbr", f.scratch.nnbr}};
     f.p.rho = rho_in;
     return snap;

@@ -454,15 +454,16 @@ TEST(GoldenTrace, SpanCountsAndNestingIdenticalAcrossThreadCounts) {
 }
 
 TEST(GoldenTrace, SpanCountsAndNestingIdenticalAcrossSchedules) {
+  if (!gpu::simd::kAvailable) GTEST_SKIP() << "SIMD disabled in this build";
   auto config = trace_config();
   config.threads = 4;
   config.sph.launch.schedule = gpu::LaunchSchedule::kLeafOwner;
   config.gravity.launch.schedule = gpu::LaunchSchedule::kLeafOwner;
   const auto owner = run_and_sign(config);
-  config.sph.launch.schedule = gpu::LaunchSchedule::kDeferredStore;
-  config.gravity.launch.schedule = gpu::LaunchSchedule::kDeferredStore;
-  const auto deferred = run_and_sign(config);
-  EXPECT_EQ(owner, deferred);
+  config.sph.launch.schedule = gpu::LaunchSchedule::kSimd;
+  config.gravity.launch.schedule = gpu::LaunchSchedule::kSimd;
+  const auto simd = run_and_sign(config);
+  EXPECT_EQ(owner, simd);
 }
 
 TEST(GoldenTrace, StructuralSpansMatchStepReport) {
