@@ -6,6 +6,9 @@
 // targets: global loads, separable-partial evaluations, and register
 // bytes per thread. The physics results of the two modes are identical
 // (asserted in tests/test_gpu.cpp); this bench measures the cost side.
+// Every kernel runs wrapped in gpu::ScalarTiles, so the warp-split rows
+// count Algorithm 1 as written (scalar lanes), whichever tile engine the
+// build would otherwise pick.
 #include <benchmark/benchmark.h>
 
 #include "core/particles.h"
@@ -99,7 +102,8 @@ void report(benchmark::State& state, const gpu::LaunchStats& stats,
 template <gpu::LaunchMode Mode>
 void BM_Density(benchmark::State& state) {
   auto& f = fixture();
-  sph::DensityKernel kernel(f.particles, f.scratch, nullptr);
+  sph::DensityKernel physics(f.particles, f.scratch, nullptr);
+  gpu::ScalarTiles kernel(physics);
   gpu::LaunchStats total;
   std::uint64_t iterations = 0;
   for (auto _ : state) {
@@ -114,7 +118,8 @@ void BM_Density(benchmark::State& state) {
 template <gpu::LaunchMode Mode>
 void BM_CrkMoments(benchmark::State& state) {
   auto& f = fixture();
-  sph::CrkMomentKernel kernel(f.particles, f.scratch, nullptr);
+  sph::CrkMomentKernel physics(f.particles, f.scratch, nullptr);
+  gpu::ScalarTiles kernel(physics);
   gpu::LaunchStats total;
   std::uint64_t iterations = 0;
   for (auto _ : state) {
@@ -129,8 +134,9 @@ void BM_CrkMoments(benchmark::State& state) {
 template <gpu::LaunchMode Mode>
 void BM_MomentumEnergy(benchmark::State& state) {
   auto& f = fixture();
-  sph::MomentumEnergyKernel kernel(f.particles, f.scratch, nullptr,
-                                   sph::ViscosityParams{}, 1.0f);
+  sph::MomentumEnergyKernel physics(f.particles, f.scratch, nullptr,
+                                    sph::ViscosityParams{}, 1.0f);
+  gpu::ScalarTiles kernel(physics);
   gpu::LaunchStats total;
   std::uint64_t iterations = 0;
   for (auto _ : state) {
@@ -146,8 +152,9 @@ template <gpu::LaunchMode Mode>
 void BM_Gravity(benchmark::State& state) {
   auto& f = fixture();
   static const mesh::ForceSplit split(0.15);
-  gravity::ShortRangeKernel kernel(f.particles, nullptr, &split, 43.0f, 0.05f,
-                                   0.8f);
+  gravity::ShortRangeKernel physics(f.particles, nullptr, &split, 43.0f,
+                                    0.05f, 0.8f);
+  gpu::ScalarTiles kernel(physics);
   gpu::LaunchStats total;
   std::uint64_t iterations = 0;
   for (auto _ : state) {

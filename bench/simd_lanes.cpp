@@ -1,22 +1,21 @@
-// SIMD warp-lane gate: vector half-warp tiles vs the scalar leaf-owner
-// schedule.
+// SIMD warp-lane gate: vector half-warp tiles vs the scalar tiles.
 //
-// The kSimd schedule (gpu/warp_simd.h) maps the warp-split tile onto
+// The vector tile engine (gpu/warp_simd.h) maps the warp-split tile onto
 // real vector lanes — modulo-replicated SoA lane buffers turn the
 // per-step lane rotation into one unaligned load, and the whole
 // half-warp row of partner interactions evaluates as a single masked
-// vector op. Under the default SimdMath::kExact policy the result is
-// BITWISE identical to the serial scalar driver. This bench drives the
-// real physics kernels (CRKSPH momentum/energy + short-range gravity,
-// warp-split) and gates:
+// vector op. Under the default SimdMath::kExact policy it is BITWISE
+// identical to the scalar tiles, reached here through
+// gpu::ScalarTiles<K>. This bench drives the real physics kernels
+// (CRKSPH momentum/energy + short-range gravity, warp-split) and gates:
 //
-//   1. determinism — particle-state checksums under kSimd equal the
-//      serial scalar baseline, across warp sizes and thread counts
-//      (8-thread pool == serial == scalar);
+//   1. determinism — particle-state checksums of K as built equal the
+//      serial ScalarTiles<K> baseline, across warp sizes and thread
+//      counts (8-thread pool == serial == scalar);
 //   2. fused-math accuracy — SimdMath::kFused gives up bitwise parity
 //      for FMA, but its max error stays within a few ulps of each
 //      field's accumulation scale;
-//   3. speed — kSimd vs kLeafOwner wall time at 8 threads, plus the
+//   3. speed — K vs ScalarTiles<K> wall time at 8 threads, plus the
 //      projected dedicated-lane time (serial remainder + longest worker
 //      lane on the thread CPU clock) for hosts whose workers share
 //      fewer cores than threads.
@@ -24,7 +23,8 @@
 // --quick shrinks the problem and gates only (1) and (2) — that variant
 // runs as a ctest smoke target, so a vector-engine regression fails the
 // build rather than the nightly. The full run also gates the >= 1.2x
-// simd-vs-scalar pair-kernel speedup claim (wall or projected).
+// vector-vs-scalar pair-kernel speedup claim (wall or projected). A
+// build without the AVX2 backend has no vector tiles and gates nothing.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -110,6 +110,22 @@ const mesh::ForceSplit& force_split() {
   return split;
 }
 
+/// Which tile engine a launch runs: the kernel as built (vector tiles
+/// wherever LaunchConfig::vector_tiles() holds) or ScalarTiles<K>.
+enum class Tiles { kAsBuilt, kScalar };
+
+template <typename Kernel>
+gpu::LaunchStats launch_on(Tiles tiles, Kernel& kernel, const Fixture& f,
+                           const gpu::LaunchPlan& plan,
+                           const gpu::LaunchConfig& config,
+                           util::ThreadPool* pool) {
+  if (tiles == Tiles::kScalar) {
+    gpu::ScalarTiles<Kernel> scalar(kernel);
+    return gpu::launch_pair_kernel(scalar, f.mesh, plan, config, pool);
+  }
+  return gpu::launch_pair_kernel(kernel, f.mesh, plan, config, pool);
+}
+
 struct RunResult {
   gpu::LaunchStats stats;      ///< both kernels, accumulated
   std::uint32_t checksum = 0;  ///< accumulated ax/ay/az/du
@@ -119,19 +135,20 @@ struct RunResult {
 /// One full evaluation (momentum/energy + gravity) on fresh copies of the
 /// particle state, so the accumulated result is comparable bitwise.
 RunResult run_once(const Fixture& f, const gpu::LaunchPlan& plan,
-                   const gpu::LaunchConfig& config, util::ThreadPool* pool) {
+                   Tiles tiles, const gpu::LaunchConfig& config,
+                   util::ThreadPool* pool) {
   Particles p = f.particles;
   sph::SphScratch scratch = f.scratch;
   RunResult r;
   {
     sph::MomentumEnergyKernel kernel(p, scratch, nullptr,
                                      sph::ViscosityParams{}, 1.0f);
-    r.stats += gpu::launch_pair_kernel(kernel, f.mesh, plan, config, pool);
+    r.stats += launch_on(tiles, kernel, f, plan, config, pool);
   }
   {
     gravity::ShortRangeKernel kernel(p, nullptr, &force_split(), 43.0f, 0.05f,
                                      kCutoff);
-    r.stats += gpu::launch_pair_kernel(kernel, f.mesh, plan, config, pool);
+    r.stats += launch_on(tiles, kernel, f, plan, config, pool);
   }
   std::uint32_t crc = 0;
   crc = crc32(p.ax.data(), p.ax.size() * sizeof(float), crc);
@@ -184,9 +201,9 @@ struct TimedPoint {
 
 /// The pair kernels timed individually. The split-gravity row is the
 /// Amdahl control: its per-pair cost is dominated by the double-
-/// precision erfc split factor, which stays scalar under kSimd by the
-/// bitwise contract — so its ratio bounds what erfc-heavy launches can
-/// gain, while the fully-vectorized rows show the lane win.
+/// precision erfc split factor, which stays scalar in the vector engine
+/// by the bitwise contract — so its ratio bounds what erfc-heavy
+/// launches can gain, while the fully-vectorized rows show the lane win.
 enum class BenchKernel { kMomentum, kDensity, kGravity, kGravitySplit };
 
 const char* kernel_name(BenchKernel k) {
@@ -200,10 +217,9 @@ const char* kernel_name(BenchKernel k) {
 }
 
 TimedPoint time_kernel(const Fixture& f, const gpu::LaunchPlan& plan,
-                       BenchKernel which, gpu::LaunchSchedule schedule,
-                       util::ThreadPool& pool, int reps) {
-  gpu::LaunchConfig config;
-  config.schedule = schedule;
+                       BenchKernel which, Tiles tiles, util::ThreadPool& pool,
+                       int reps) {
+  const gpu::LaunchConfig config;
   TimedPoint point;
   // Timing reuses one particle copy across reps: the accumulators keep
   // growing, which changes no code path and nothing we time.
@@ -220,16 +236,16 @@ TimedPoint time_kernel(const Fixture& f, const gpu::LaunchPlan& plan,
     gpu::LaunchStats s;
     switch (which) {
       case BenchKernel::kMomentum:
-        s = gpu::launch_pair_kernel(momentum, f.mesh, plan, config, &pool);
+        s = launch_on(tiles, momentum, f, plan, config, &pool);
         break;
       case BenchKernel::kDensity:
-        s = gpu::launch_pair_kernel(density, f.mesh, plan, config, &pool);
+        s = launch_on(tiles, density, f, plan, config, &pool);
         break;
       case BenchKernel::kGravity:
-        s = gpu::launch_pair_kernel(grav, f.mesh, plan, config, &pool);
+        s = launch_on(tiles, grav, f, plan, config, &pool);
         break;
       case BenchKernel::kGravitySplit:
-        s = gpu::launch_pair_kernel(grav_split, f.mesh, plan, config, &pool);
+        s = launch_on(tiles, grav_split, f, plan, config, &pool);
         break;
     }
     point.wall += s.seconds;
@@ -251,12 +267,12 @@ int main(int argc, char** argv) {
   const int reps = quick ? 2 : 8;
 
   bench::print_header(
-      std::string("SIMD warp-lane gate — kSimd vs scalar leaf-owner") +
+      std::string("SIMD warp-lane gate — vector tiles vs ScalarTiles") +
       (quick ? " (--quick)" : ""));
   const auto& simd = gpu::simd_support();
   if (!simd.available) {
-    std::printf("this build has no SIMD backend (isa: %s) — nothing to "
-                "gate\n", simd.isa);
+    std::printf("this build has no AVX2 backend (isa: %s): every launch "
+                "runs scalar tiles — nothing to gate\n", simd.isa);
     return 0;
   }
   Fixture f(count);
@@ -269,17 +285,16 @@ int main(int argc, char** argv) {
   util::ThreadPool pool(8);
   bool deterministic = true;
 
-  // Gate 1: kSimd bitwise identical to the serial scalar baseline at
-  // the SAME warp size (the warp size fixes the tile accumulation order
-  // for both drivers), serial and at 8 threads.
-  const auto scalar_serial = run_once(f, plan, gpu::LaunchConfig{}, nullptr);
+  // Gate 1: vector tiles bitwise identical to the serial ScalarTiles
+  // baseline at the SAME warp size (the warp size fixes the tile
+  // accumulation order for both engines), serial and at 8 threads.
+  const auto scalar_serial =
+      run_once(f, plan, Tiles::kScalar, gpu::LaunchConfig{}, nullptr);
   for (const std::uint32_t warp : {2u, 8u, 64u}) {
-    const auto scalar = run_once(
-        f, plan, gpu::LaunchConfig{.warp_size = warp}, nullptr);
-    gpu::LaunchConfig config{.warp_size = warp,
-                             .schedule = gpu::LaunchSchedule::kSimd};
-    const auto serial = run_once(f, plan, config, nullptr);
-    const auto threaded = run_once(f, plan, config, &pool);
+    const gpu::LaunchConfig config{.warp_size = warp};
+    const auto scalar = run_once(f, plan, Tiles::kScalar, config, nullptr);
+    const auto serial = run_once(f, plan, Tiles::kAsBuilt, config, nullptr);
+    const auto threaded = run_once(f, plan, Tiles::kAsBuilt, config, &pool);
     const bool match = serial.checksum == scalar.checksum &&
                        threaded.checksum == scalar.checksum &&
                        serial.stats.interactions == scalar.stats.interactions;
@@ -292,10 +307,11 @@ int main(int argc, char** argv) {
 
   // Gate 2: fused math is not bitwise (FMA) but stays within a few ulps
   // of each field's accumulation scale — and is itself deterministic.
-  const gpu::LaunchConfig fused_config{.schedule = gpu::LaunchSchedule::kSimd,
-                                       .simd_math = gpu::SimdMath::kFused};
-  const auto fused_serial = run_once(f, plan, fused_config, nullptr);
-  const auto fused_threaded = run_once(f, plan, fused_config, &pool);
+  const gpu::LaunchConfig fused_config{.simd_math = gpu::SimdMath::kFused};
+  const auto fused_serial =
+      run_once(f, plan, Tiles::kAsBuilt, fused_config, nullptr);
+  const auto fused_threaded =
+      run_once(f, plan, Tiles::kAsBuilt, fused_config, &pool);
   const double fused_ulp = max_scale_ulp(scalar_serial, fused_serial);
   const bool fused_deterministic =
       fused_serial.checksum == fused_threaded.checksum;
@@ -306,11 +322,11 @@ int main(int argc, char** argv) {
               fused_ulp, kFusedUlpGate, fused_serial.checksum,
               fused_threaded.checksum, fused_ok ? "OK" : "FAIL");
 
-  // Gate 3: per-kernel wall time at 8 threads, scalar leaf-owner vs
-  // vector lanes. The fully-vectorized kernels (momentum, density,
-  // plain gravity) carry the speedup gate; the split-gravity row is
-  // reported as the Amdahl control (its erfc split factor stays scalar
-  // under kSimd by the bitwise contract, bounding that launch's gain).
+  // Gate 3: per-kernel wall time at 8 threads, ScalarTiles vs vector
+  // tiles. The fully-vectorized kernels (momentum, density, plain
+  // gravity) carry the speedup gate; the split-gravity row is reported
+  // as the Amdahl control (its erfc split factor stays scalar in the
+  // vector engine by the bitwise contract, bounding that launch's gain).
   std::printf("\n%-14s %-12s %-12s %-9s %-11s\n", "kernel",
               "scalar[s]", "simd[s]", "wall-x", "projected-x");
   bench::print_rule();
@@ -320,10 +336,10 @@ int main(int argc, char** argv) {
   for (const auto which :
        {BenchKernel::kMomentum, BenchKernel::kDensity, BenchKernel::kGravity,
         BenchKernel::kGravitySplit}) {
-    const auto scalar_time = time_kernel(
-        f, plan, which, gpu::LaunchSchedule::kLeafOwner, pool, reps);
+    const auto scalar_time =
+        time_kernel(f, plan, which, Tiles::kScalar, pool, reps);
     const auto simd_time =
-        time_kernel(f, plan, which, gpu::LaunchSchedule::kSimd, pool, reps);
+        time_kernel(f, plan, which, Tiles::kAsBuilt, pool, reps);
     const double wall_x =
         simd_time.wall > 0.0 ? scalar_time.wall / simd_time.wall : 1.0;
     const double proj_x = simd_time.projected() > 0.0

@@ -8,23 +8,19 @@
 // accounting: timer taxonomy, data written, effective I/O bandwidth, and
 // interruption count.
 //
-//   ./examples/frontier_mini [--threads=N] [--sdc=on|off]
-//                            [--launch-schedule=leaf_owner|simd]
-//                            [--sdc-flip-rate=R] [--sdc-flip-seed=S]
-//                            [--ckpt-diff] [--ckpt-audit-on-restore]
-//                            [--rank-loss-policy=fatal|shrink]
-//                            [--kill-rank=R@OP]
-//                            [--trace=FILE] [--metrics]
-//                            [num_ranks] [workdir] [storage_fault_seed]
+//   ./examples/frontier_mini [flags] [num_ranks] [workdir]
+//                            [storage_fault_seed]
+//
+// kUsage below lists the flags. Any other --flag (e.g. --help), or
+// num_ranks < 1, prints it and exits 2 before the workdir is touched.
 //
 // --threads=N runs each rank's short-range pipeline on an N-thread
 // work-stealing pool (0 = hardware concurrency). The answer is bitwise
 // identical for every N; the report adds the pool's scheduler accounting.
 //
-// --launch-schedule selects the tile engine of the pair-kernel owner
-// tasks: leaf_owner (default) runs scalar tiles, simd runs vectorized
-// tiles (rejected when the build has no SIMD backend). Both are bitwise
-// identical — the knob exists for A/B drills.
+// The pair kernels run vector tiles when the build has the AVX2 backend
+// (gpu::LaunchConfig::vector_tiles()) and scalar tiles otherwise; the
+// banner and the report name the engine. Both give the same bits.
 //
 // With a storage_fault_seed, the PFS additionally injects silent
 // corruption (torn writes, bit flips) and transient I/O errors; the
@@ -76,14 +72,25 @@
 #include "comm/world.h"
 #include "core/campaign.h"
 #include "core/simulation.h"
-#include "gpu/device.h"
 #include "gpu/launch.h"
 
 using namespace crkhacc;
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: frontier_mini [--threads=N] [--sdc=on|off] [--sdc-flip-rate=R]\n"
+    "                     [--sdc-flip-seed=S] [--ckpt-diff]\n"
+    "                     [--ckpt-audit-on-restore]\n"
+    "                     [--rank-loss-policy=fatal|shrink] "
+    "[--kill-rank=R@OP]\n"
+    "                     [--trace=FILE] [--metrics]\n"
+    "                     [num_ranks >= 1] [workdir] [storage_fault_seed]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   int threads = 1;
-  gpu::LaunchSchedule schedule = gpu::LaunchSchedule::kLeafOwner;
   bool sdc_on = true;
   double sdc_flip_rate = 0.0;
   std::uint64_t sdc_flip_seed = 13;
@@ -98,22 +105,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       threads = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--launch-schedule=", 18) == 0) {
-      const char* value = argv[i] + 18;
-      if (std::strcmp(value, "simd") == 0) {
-        if (!gpu::simd_support().available) {
-          std::fprintf(stderr,
-                       "--launch-schedule=simd: this build has no SIMD "
-                       "backend (configure with CRKHACC_ENABLE_SIMD=ON)\n");
-          return 2;
-        }
-        schedule = gpu::LaunchSchedule::kSimd;
-      } else if (std::strcmp(value, "leaf_owner") != 0) {
-        std::fprintf(stderr,
-                     "unknown --launch-schedule '%s' (leaf_owner | simd)\n",
-                     value);
-        return 2;
-      }
     } else if (std::strncmp(argv[i], "--sdc=", 6) == 0) {
       sdc_on = std::strcmp(argv[i] + 6, "off") != 0;
     } else if (std::strncmp(argv[i], "--sdc-flip-rate=", 16) == 0) {
@@ -146,11 +137,20 @@ int main(int argc, char** argv) {
       kill_op = op;
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
       show_metrics = true;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      // Checked before anything touches the workdir: an unknown flag must
+      // not shift a later argument into the workdir slot.
+      std::fprintf(stderr, "unknown flag '%s'\n%s", argv[i], kUsage);
+      return 2;
     } else {
       positional.push_back(argv[i]);
     }
   }
   const int ranks = positional.size() > 0 ? std::atoi(positional[0]) : 4;
+  if (ranks < 1) {
+    std::fprintf(stderr, "num_ranks must be an integer >= 1\n%s", kUsage);
+    return 2;
+  }
   const std::string workdir =
       positional.size() > 1
           ? positional[1]
@@ -181,8 +181,6 @@ int main(int argc, char** argv) {
   config.subgrid.agn.seed_n_h = 5e-5;
   config.subgrid.agn.seed_exclusion = 2.0;
   config.threads = threads;
-  config.sph.launch.schedule = schedule;
-  config.gravity.launch.schedule = schedule;
   config.sdc.enabled = sdc_on;
   config.trace.enabled = !trace_file.empty();
   config.trace.file = trace_file;
@@ -194,13 +192,9 @@ int main(int argc, char** argv) {
   config.rank_loss_policy = rank_loss_policy;
 
   std::printf("frontier-mini: %d ranks, %zu^3 particle pairs, %d PM steps, "
-              "%d pool threads/rank, %s launch schedule%s%s%s\n",
+              "%d pool threads/rank, %s tiles\n",
               ranks, config.np, config.num_pm_steps, config.threads,
-              gpu::schedule_name(schedule),
-              schedule == gpu::LaunchSchedule::kSimd ? " (" : "",
-              schedule == gpu::LaunchSchedule::kSimd ? gpu::simd_support().isa
-                                                     : "",
-              schedule == gpu::LaunchSchedule::kSimd ? ")" : "");
+              config.gravity.launch.vector_tiles() ? "vector" : "scalar");
   std::printf("workdir: %s\n", workdir.c_str());
   std::printf("checkpoints: %s format v2%s\n",
               ckpt_diff ? "differential (chained)" : "full",
@@ -324,8 +318,8 @@ int main(int argc, char** argv) {
                   "survived\n",
                   static_cast<unsigned long long>(result.steps_done),
                   static_cast<unsigned long long>(result.interruptions));
-      std::printf("launch: %s schedule, simd backend %s\n",
-                  result.launch_schedule.c_str(), result.simd_isa.c_str());
+      std::printf("launch: gravity tiles on simd isa %s\n",
+                  result.simd_isa.c_str());
       std::printf("recovery: %llu checkpoint restores attempted, %llu "
                   "fallbacks to older steps, %llu restarts from ICs\n",
                   static_cast<unsigned long long>(result.recovery_attempts),

@@ -396,7 +396,9 @@ std::vector<std::vector<std::uint8_t>> Communicator::allgather_bytes(
 
 void Communicator::allreduce(std::span<double> values, ReduceOp op) {
   std::vector<std::uint8_t> mine(values.size_bytes());
-  std::memcpy(mine.data(), values.data(), mine.size());
+  // memcpy with a null pointer is undefined even for zero bytes, and an
+  // empty span or vector may hand one out.
+  if (!values.empty()) std::memcpy(mine.data(), values.data(), mine.size());
   auto all = allgather_bytes(mine);
   for (std::size_t s = 0; s < all.size(); ++s) {
     if (static_cast<int>(s) == rank_) continue;
@@ -414,7 +416,9 @@ void Communicator::allreduce(std::span<double> values, ReduceOp op) {
 
 void Communicator::allreduce(std::span<std::int64_t> values, ReduceOp op) {
   std::vector<std::uint8_t> mine(values.size_bytes());
-  std::memcpy(mine.data(), values.data(), mine.size());
+  // memcpy with a null pointer is undefined even for zero bytes, and an
+  // empty span or vector may hand one out.
+  if (!values.empty()) std::memcpy(mine.data(), values.data(), mine.size());
   auto all = allgather_bytes(mine);
   for (std::size_t s = 0; s < all.size(); ++s) {
     if (static_cast<int>(s) == rank_) continue;

@@ -120,7 +120,6 @@ std::string SimContext::initial_state_key(const SimConfig& config, int rank,
   // policy is part of the state's identity.
   put(out, static_cast<std::uint64_t>(config.sph.launch.warp_size));
   put(out, static_cast<int>(config.sph.launch.mode));
-  put(out, static_cast<int>(config.sph.launch.schedule));
   put(out, static_cast<int>(config.sph.launch.simd_math));
   return out.str();
 }

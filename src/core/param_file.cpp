@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "core/service.h"
-#include "gpu/device.h"
 #include "util/log.h"
 
 namespace crkhacc::core {
@@ -230,32 +229,6 @@ std::vector<std::string> ParamFile::apply(SimConfig& config) const {
         HACC_LOG_ERROR(
             "param file: launch_mode = '%s' rejected: expected "
             "'warp_split' or 'naive'",
-            v.c_str());
-        rejected = true;
-      }
-    } else if (key == "launch_schedule") {
-      const auto v = lower(get_string(key).value_or(""));
-      if (v == "leaf_owner" || v == "owner") {
-        config.sph.launch.schedule = gpu::LaunchSchedule::kLeafOwner;
-        config.gravity.launch.schedule = gpu::LaunchSchedule::kLeafOwner;
-      } else if (v == "simd") {
-        if (gpu::simd_support().available) {
-          config.sph.launch.schedule = gpu::LaunchSchedule::kSimd;
-          config.gravity.launch.schedule = gpu::LaunchSchedule::kSimd;
-        } else {
-          // Keep whatever schedule the config already had: a run on a
-          // SIMD-less build should proceed, just not with kSimd.
-          HACC_LOG_ERROR(
-              "param file: launch_schedule = 'simd' rejected: this build "
-              "has no SIMD backend (configure with CRKHACC_ENABLE_SIMD=ON "
-              "on a supported host); keeping '%s'",
-              gpu::schedule_name(config.sph.launch.schedule));
-          rejected = true;
-        }
-      } else {
-        HACC_LOG_ERROR(
-            "param file: launch_schedule = '%s' rejected: expected "
-            "'leaf_owner' or 'simd'",
             v.c_str());
         rejected = true;
       }

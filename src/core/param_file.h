@@ -39,8 +39,8 @@ class ParamFile {
 
   /// Apply recognized keys onto `config`; returns the list of keys that
   /// were not recognized OR whose values were rejected (empty = clean).
-  /// Rejected values (e.g. warp_size < 2, an unknown launch_schedule)
-  /// leave the config's previous value in place and log an error.
+  /// Rejected values (e.g. warp_size < 2, an unknown launch_mode) leave
+  /// the config's previous value in place and log an error.
   /// Keys with the `service_` prefix belong to ScenarioService (see the
   /// ServiceConfig overload) and are skipped silently, so one param file
   /// can drive both the farm and the simulations it runs.

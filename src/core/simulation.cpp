@@ -921,8 +921,8 @@ void Simulation::finalize_run(RunResult& result, io::MultiTierWriter* writer) {
   result.completed = step_ >= static_cast<std::uint64_t>(config_.num_pm_steps);
   if (writer) result.io = writer->stats();
   result.threading = util::stats_since(pool_.stats(), pool_baseline_);
-  result.launch_schedule = gpu::schedule_name(config_.gravity.launch.schedule);
-  result.simd_isa = gpu::simd_support().isa;
+  result.simd_isa =
+      config_.gravity.launch.vector_tiles() ? gpu::simd::kIsaName : "none";
   if (config_.trace.enabled) {
     // Commit trailing analysis spans, then surface the local counters.
     trace_.flush(step_);
@@ -980,7 +980,6 @@ void RunResult::merge(const RunResult& other) {
   for (std::size_t i = 0; i < other.threading.busy_seconds.size(); ++i) {
     threading.busy_seconds[i] += other.threading.busy_seconds[i];
   }
-  if (!other.launch_schedule.empty()) launch_schedule = other.launch_schedule;
   if (!other.simd_isa.empty()) simd_isa = other.simd_isa;
   // `completed` deliberately untouched — see the header's policy table.
 }

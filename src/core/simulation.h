@@ -166,11 +166,9 @@ struct RunResult {
   /// Intra-node scheduler accounting (per-thread busy time, steal counts)
   /// accumulated over the whole run.
   util::ThreadPoolStats threading;
-  /// Pair-kernel tile engine of the gravity launches, which run in every
-  /// configuration ("leaf_owner" or "simd", gpu::schedule_name), and the
-  /// compiled-in instruction set ("avx2" / "scalar"; "none" on SIMD-less
-  /// builds).
-  std::string launch_schedule;
+  /// Instruction set the gravity launches' tiles ran on — gravity runs in
+  /// every configuration: simd::kIsaName ("avx2") when
+  /// gravity.launch.vector_tiles() holds, else "none" (scalar tiles).
   std::string simd_isa;
 
   /// Fold `other` into this result — the one merge used everywhere a
@@ -187,8 +185,7 @@ struct RunResult {
   ///     are per-step accumulations, so summing extends the run);
   ///   * threading — counters sum, per-worker busy_seconds sum
   ///     elementwise (resized to the wider pool), threads takes the max;
-  ///   * launch_schedule / simd_isa — keep-newest: `other`'s value wins
-  ///     when non-empty;
+  ///   * simd_isa — keep-newest: `other`'s value wins when non-empty;
   ///   * completed — KEPT as-is; completion of a merged aggregate is a
   ///     caller-level judgment (e.g. "all jobs completed"), not a sum.
   void merge(const RunResult& other);
@@ -271,7 +268,7 @@ class Simulation {
   /// Stamp end-of-run facts into `result`: completed (did the loop reach
   /// num_pm_steps), writer I/O stats, per-run threading delta (shared
   /// pools accumulate across simulations; the delta is since this
-  /// simulation's construction), launch schedule/ISA, trace counters.
+  /// simulation's construction), the gravity tiles' ISA, trace counters.
   void finalize_run(RunResult& result, io::MultiTierWriter* writer = nullptr);
 
   /// Collective recovery (all ranks must call together): restore the

@@ -27,14 +27,13 @@ struct DeviceSpec {
 /// The three devices of Table I (MI250X per GCD, PVC per tile, H100).
 const std::vector<DeviceSpec>& known_devices();
 
-/// What the kSimd launch schedule compiled down to on this host: the
-/// instruction set chosen at configure time (gpu/simd.h) and its lane
-/// width. `available` is false when the build disabled SIMD
-/// (CRKHACC_ENABLE_SIMD=OFF) or the configure probe found no usable ISA.
+/// The vector tile engine's backend, chosen at configure time (gpu/simd.h).
+/// `available` is false (isa "none", width 0: scalar tiles only) when the
+/// build disabled SIMD or the configure probe found no AVX2.
 struct SimdSupport {
   bool available;
-  const char* isa;  ///< "avx2", "scalar", or "none"
-  int width;        ///< vector lanes per op (8 for AVX2)
+  const char* isa;  ///< "avx2" or "none"
+  int width;        ///< vector lanes per op (8 for AVX2, else 0)
 };
 
 /// The host's compiled-in SIMD backend (static; never changes at run

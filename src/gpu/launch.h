@@ -1,9 +1,10 @@
 // Pair-kernel launch configuration, statistics, and leaf-owner plans.
 //
-// This header is the policy half of the launch API: what to run (mode,
-// tile engine) and the precomputed owner-leaf work lists (LaunchPlan)
-// that every launch walks. The execution half — the warp-split and naive
-// drivers plus launch_pair_kernel itself — lives in gpu/warp.h.
+// This header is the policy half of the launch API: what to run (warp
+// size, mode, SIMD math) and the precomputed owner-leaf work lists
+// (LaunchPlan) that every launch walks. The execution half — the
+// warp-split and naive drivers plus launch_pair_kernel itself — lives in
+// gpu/warp.h.
 //
 // Owner tasks (see DESIGN.md, "Node-level threading model"): the plan
 // lists, for every leaf, the ordered (partner, side) tiles that
@@ -15,18 +16,19 @@
 // parallel results are bitwise identical to serial, with nothing
 // buffered.
 //
-// LaunchSchedule selects the tile engine the owner tasks run, not the
-// pool decomposition:
+// The tile engine the owner tasks run follows from the config and the
+// build, not from a user choice (LaunchConfig::vector_tiles()):
 //
-//  * kLeafOwner (default) — scalar warp-split (or naive) tiles.
+//  * vector tiles — the inner half-warp tile evaluated simd::kWidth lanes
+//    per instruction (gpu/warp_simd.h), for kernels with a SIMD form,
+//    whenever the AVX2 backend is compiled in, the mode is warp-split and
+//    warp_size is a power of two. Per-accumulator operand order is
+//    identical to the scalar tiles, so results stay bitwise identical by
+//    default (simd_math = kExact); simd_math = kFused opts every
+//    vector-tile launch into real FMA under an explicit ULP gate.
 //
-//  * kSimd — the inner half-warp tile evaluated simd::kWidth lanes per
-//    instruction (gpu/warp_simd.h). Per-accumulator operand order is
-//    identical to kLeafOwner, so results stay bitwise identical by
-//    default (simd_math = kExact); simd_math = kFused opts into real FMA
-//    under an explicit ULP gate. Requires a SIMD-enabled build
-//    (simd::kAvailable), warp-split mode, and a power-of-two warp_size;
-//    kernels without a SIMD form fall back to scalar tiles.
+//  * scalar tiles — everything else: naive mode, non-power-of-two warps,
+//    builds without AVX2, kernels without a SIMD form.
 //
 // A LaunchPlan depends only on (mesh, pair list) — not on the kernel, the
 // thread count, or the launch mode — so one plan is shared by the
@@ -35,6 +37,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -51,16 +54,7 @@ namespace crkhacc::gpu {
 
 enum class LaunchMode { kNaive, kWarpSplit };
 
-/// Which tile engine launch_pair_kernel's owner tasks run.
-enum class LaunchSchedule { kLeafOwner, kSimd };
-
-/// The schedule's name as the launch_schedule param key and the
-/// --launch-schedule flag spell it ("leaf_owner", "simd").
-inline const char* schedule_name(LaunchSchedule schedule) {
-  return schedule == LaunchSchedule::kSimd ? "simd" : "leaf_owner";
-}
-
-/// Arithmetic contract of the kSimd schedule's vector kernels.
+/// Arithmetic contract of the vector tile engine's kernels.
 ///  * kExact — every a*b+c is mul then add (two roundings): bitwise
 ///    identical to the scalar kernels. The default.
 ///  * kFused — real FMA (one rounding): faster, not bitwise vs. scalar;
@@ -74,8 +68,16 @@ enum class SimdMath { kExact, kFused };
 struct LaunchConfig {
   std::uint32_t warp_size = 64;
   LaunchMode mode = LaunchMode::kWarpSplit;
-  LaunchSchedule schedule = LaunchSchedule::kLeafOwner;
-  SimdMath simd_math = SimdMath::kExact;  ///< only read by kSimd launches
+  SimdMath simd_math = SimdMath::kExact;  ///< only read by vector tiles
+
+  /// Whether kernels with a SIMD form run vector tiles (gpu/warp_simd.h):
+  /// AVX2 is compiled in, the mode is warp-split (naive mode has no lanes)
+  /// and warp_size is a power of two (the widths tests/test_simd pins).
+  /// Otherwise scalar tiles run, which give the same bits under kExact.
+  constexpr bool vector_tiles() const {
+    return simd::kAvailable && mode == LaunchMode::kWarpSplit &&
+           std::has_single_bit(warp_size);
+  }
 
   /// nullptr if the config is usable, else a human-readable reason.
   /// warp_size < 2 is rejected for BOTH modes: the warp-split half-warp
@@ -85,20 +87,6 @@ struct LaunchConfig {
     if (warp_size < 2) {
       return "warp_size must be >= 2 (half-warp w = warp_size / 2 would be "
              "0 and the warp-split tile loop could not advance)";
-    }
-    if (schedule == LaunchSchedule::kSimd) {
-      if (!simd::kAvailable) {
-        return "launch_schedule simd requires a SIMD-enabled build "
-               "(configure with CRKHACC_ENABLE_SIMD=ON)";
-      }
-      if (mode == LaunchMode::kNaive) {
-        return "launch_schedule simd vectorizes warp-split tiles; "
-               "launch_mode naive has no lanes to vectorize";
-      }
-      if ((warp_size & (warp_size - 1)) != 0) {
-        return "launch_schedule simd requires a power-of-two warp_size "
-               "(the lane rotation indexes (l + t) mod W)";
-      }
     }
     return nullptr;
   }

@@ -1,10 +1,10 @@
-// Portable SIMD lane abstraction for the kSimd launch schedule.
+// SIMD lane abstraction for the vector tile engine.
 //
 // The warp-split tile (gpu/warp.h) rotates half-warp lanes so that every
 // lane meets every partner exactly once; the per-accumulator operand order
-// is fixed by that rotation. kSimd (gpu/warp_simd.h) evaluates kWidth of
-// those lanes per instruction. The bitwise contract — kSimd results are
-// bit-identical to the serial scalar driver — holds because:
+// is fixed by that rotation. The vector tile engine (gpu/warp_simd.h)
+// evaluates kWidth of those lanes per instruction. The bitwise contract —
+// vector tiles are bit-identical to the scalar tiles — holds because:
 //
 //  * every operation here is a single IEEE-754 elementwise op (add, sub,
 //    mul, div, sqrt), which produces the same bits lane-by-lane as the
@@ -24,10 +24,10 @@
 //    ULP-gated mode (LaunchConfig::simd_math = kFused, tests/test_simd).
 //
 // Backend selection is configure-time (top-level CMakeLists):
-//   CRKHACC_SIMD_AVX2      -> AVX2 intrinsics (kIsaName "avx2")
-//   neither                -> portable scalar lanes (kIsaName "scalar")
-//   CRKHACC_SIMD_DISABLED  -> same portable code, but kAvailable = false
-//                             and LaunchConfig rejects kSimd ("none").
+//   CRKHACC_SIMD_AVX2 -> AVX2 intrinsics (kAvailable, kIsaName "avx2").
+//   otherwise         -> portable scalar lanes (kIsaName "none"), slower
+//                        than the scalar tiles: no launch runs them; they
+//                        only keep the kernels' SIMD surfaces compiling.
 #pragma once
 
 #include <array>
@@ -36,9 +36,8 @@
 #include <cstdint>
 #include <cstring>
 
-#if defined(CRKHACC_SIMD_AVX2) && !defined(CRKHACC_SIMD_DISABLED)
+#if defined(CRKHACC_SIMD_AVX2)
 #include <immintrin.h>
-#define CRKHACC_SIMD_USE_AVX2 1
 #endif
 
 namespace crkhacc::gpu {
@@ -53,15 +52,14 @@ namespace simd {
 /// Lanes evaluated per vector instruction.
 inline constexpr std::uint32_t kWidth = 8;
 
-#if defined(CRKHACC_SIMD_DISABLED)
-inline constexpr bool kAvailable = false;
-inline constexpr const char* kIsaName = "none";
-#elif defined(CRKHACC_SIMD_USE_AVX2)
+/// Whether the AVX2 backend is compiled in — the one ISA the vector tile
+/// engine runs on.
+#if defined(CRKHACC_SIMD_AVX2)
 inline constexpr bool kAvailable = true;
 inline constexpr const char* kIsaName = "avx2";
 #else
-inline constexpr bool kAvailable = true;
-inline constexpr const char* kIsaName = "scalar";
+inline constexpr bool kAvailable = false;
+inline constexpr const char* kIsaName = "none";
 #endif
 
 /// Padded SoA slot count for one half-warp lane buffer: slot k holds lane
@@ -83,7 +81,7 @@ struct alignas(32) LaneArray {
   const float* data() const { return v.data(); }
 };
 
-#if defined(CRKHACC_SIMD_USE_AVX2)
+#if defined(CRKHACC_SIMD_AVX2)
 
 struct vfloat {
   __m256 v;
@@ -143,7 +141,7 @@ inline vfloat rotate(vfloat a, std::uint32_t n) {
       a.v, _mm256_load_si256(reinterpret_cast<const __m256i*>(idx)))};
 }
 
-#else  // portable scalar-lane backend
+#else  // portable scalar lanes (kernel SIMD surfaces only)
 
 struct vfloat {
   std::array<float, kWidth> v;
@@ -285,7 +283,7 @@ inline float mask_on() {
 /// Math policy for the SIMD kernels: every scalar a*b + c site is written
 /// as Math::madd(a, b, c).
 ///  * ExactMath — mul then add, two rounds: bit-identical to the scalar
-///    kernels (the default, and the schedule's bitwise contract).
+///    kernels (the default, and the vector engine's bitwise contract).
 ///  * FusedMath — single-rounded FMA: faster and *more* accurate per
 ///    operation, but not bitwise vs. scalar; selected by
 ///    LaunchConfig::simd_math = kFused and gated by per-field ULP bounds
@@ -298,7 +296,7 @@ struct ExactMath {
 struct FusedMath {
   static constexpr const char* kName = "fused";
   static vfloat madd(vfloat a, vfloat b, vfloat c) {
-#if defined(CRKHACC_SIMD_USE_AVX2)
+#if defined(CRKHACC_SIMD_AVX2)
     return {_mm256_fmadd_ps(a.v, b.v, c.v)};
 #else
     for (std::uint32_t l = 0; l < kWidth; ++l) {

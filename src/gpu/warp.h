@@ -60,11 +60,11 @@
 // is unchanged from the both-sides tile (same rotation order, same
 // operand values — load/partial are pure).
 //
-// LaunchConfig::schedule selects the tile ENGINE, not the decomposition:
-// kLeafOwner runs the scalar tiles below, kSimd evaluates each tile
-// simd::kWidth lanes per vector instruction (gpu/warp_simd.h) for
-// kernels that define the SimdPairKernel surface; other kernels run the
-// scalar tiles unchanged.
+// The tile ENGINE, not the decomposition, follows the build and config:
+// kernels with the SimdPairKernel surface take the vector tiles of
+// gpu/warp_simd.h whenever LaunchConfig::vector_tiles() holds, all other
+// launches the scalar tiles below (same bits under SimdMath::kExact).
+// ScalarTiles<Kernel> (end of this header) pins a kernel to scalar tiles.
 //
 // Kernel contract: load()/partial() must not read any field that store()
 // writes within the same launch (the pass structure already guarantees
@@ -287,10 +287,9 @@ void warp_split_pair_sided(Kernel& kernel, const tree::ChainingMesh& cm,
 }
 
 /// Evaluate every entry of plan owner `t`: the tiles that accumulate onto
-/// that owner's particles, in pair order. Under the kSimd schedule,
-/// kernels with a SIMD form take the vector tile engine; kernels without
-/// one (test kernels with double accumulators) run the scalar tiles —
-/// still bitwise.
+/// that owner's particles, in pair order. Kernels with a SIMD form take
+/// the vector tile engine when config.vector_tiles() holds; everything
+/// else runs the scalar tiles — the same bits either way under kExact.
 template <typename Kernel>
 void run_owner_entries(Kernel& kernel, const tree::ChainingMesh& cm,
                        const LaunchPlan& plan, std::size_t t,
@@ -303,8 +302,9 @@ void run_owner_entries(Kernel& kernel, const tree::ChainingMesh& cm,
                  e.side == LaunchPlan::Side::kBoth, stats);
       continue;
     }
-    if constexpr (SimdPairKernel<Kernel>) {
-      if (config.schedule == LaunchSchedule::kSimd) {
+    // Without the AVX2 backend the vector engine is never instantiated.
+    if constexpr (SimdPairKernel<Kernel> && simd::kAvailable) {
+      if (config.vector_tiles()) {
         switch (e.side) {
           case LaunchPlan::Side::kBoth:
             simd_pair(kernel, cm, owner, config, stats);
@@ -350,9 +350,8 @@ std::size_t register_footprint(const LaunchConfig& config) {
     bytes = sizeof(typename Kernel::State) +
             sizeof(typename Kernel::Partial) + sizeof(typename Kernel::Accum);
   }
-  if constexpr (detail::SimdPairKernel<Kernel>) {
-    if (config.schedule == LaunchSchedule::kSimd &&
-        config.mode == LaunchMode::kWarpSplit) {
+  if constexpr (SimdPairKernel<Kernel>) {
+    if (config.vector_tiles()) {
       // The vector engine's working set: two padded SoA lane buffers
       // plus the vector accumulator block.
       bytes = 2 * sizeof(typename Kernel::SimdLanes) +
@@ -409,5 +408,34 @@ LaunchStats launch_pair_kernel(Kernel& kernel, const tree::ChainingMesh& cm,
                     Kernel::kFlopsPerPartial;
   return stats;
 }
+
+/// A kernel's scalar surface without its SIMD surface: launches of
+/// ScalarTiles<Kernel> run the scalar tiles at every config, so they are
+/// the reference the vector engine is checked and timed against
+/// (tests/test_simd, bench/simd_lanes, bench/ablation_warp_split).
+/// Holds a reference; the wrapped kernel must outlive the adapter.
+template <typename Kernel>
+class ScalarTiles {
+ public:
+  using State = typename Kernel::State;
+  using Partial = typename Kernel::Partial;
+  using Accum = typename Kernel::Accum;
+  static constexpr const char* kName = Kernel::kName;
+  static constexpr double kFlopsPerInteraction = Kernel::kFlopsPerInteraction;
+  static constexpr double kFlopsPerPartial = Kernel::kFlopsPerPartial;
+
+  explicit ScalarTiles(Kernel& kernel) : kernel_(kernel) {}
+
+  State load(std::uint32_t i) const { return kernel_.load(i); }
+  Partial partial(const State& s) const { return kernel_.partial(s); }
+  void interact(const State& self, const Partial& self_p, const State& other,
+                const Partial& other_p, Accum& acc) const {
+    kernel_.interact(self, self_p, other, other_p, acc);
+  }
+  void store(std::uint32_t i, const Accum& acc) { kernel_.store(i, acc); }
+
+ private:
+  Kernel& kernel_;
+};
 
 }  // namespace crkhacc::gpu

@@ -1,11 +1,11 @@
-// Vectorized warp-split tile drivers — the kSimd launch schedule engine.
+// Vectorized warp-split tile drivers — the vector tile engine.
 //
 // The scalar warp tile (gpu/warp.h) pairs i-lane l with j-lane
 // m = (l + t) mod W at rotation step t; each accumulator therefore sees
 // its partners in a fixed, serial order. This engine evaluates
 // simd::kWidth of those lanes per instruction while preserving exactly
-// that per-accumulator order, which is what makes kSimd bitwise identical
-// to the scalar tiles (with SimdMath::kExact):
+// that per-accumulator order, which is what makes vector tiles bitwise
+// identical to the scalar tiles (with SimdMath::kExact):
 //
 //  * Lane buffers are padded SoA arrays with modulo replication: slot k
 //    holds lane (k mod w), so slots [base + t, base + t + kWidth) are the
@@ -28,8 +28,8 @@
 //    sequences are unchanged from the scalar specializations.
 //
 // Kernels opt in by defining SimdLanes / SimdAccum / interact_simd (see
-// the SimdPairKernel concept); kernels without a SIMD form run the scalar
-// tiles under kSimd unchanged — still bitwise, just not vectorized.
+// the SimdPairKernel concept) and run here whenever
+// LaunchConfig::vector_tiles() holds; others always run scalar tiles.
 #pragma once
 
 #include <algorithm>
@@ -103,7 +103,7 @@ struct SimdLaneBuffer {
     }
     // Accounting parity with the scalar LaneFile: one global load and one
     // partial evaluation per live lane (replica slots are register
-    // traffic, not loads), so kSimd stats match the scalar schedules.
+    // traffic, not loads), so vector-tile stats match the scalar tiles.
     stats.global_loads += count;
     stats.partial_evals += count;
   }

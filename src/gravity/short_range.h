@@ -89,7 +89,7 @@ class ShortRangeKernel {
     p_.az[i] += scale_ * acc.az;
   }
 
-  // --- kSimd surface (gpu/warp_simd.h). interact_simd mirrors interact's
+  // --- SIMD surface (gpu/warp_simd.h). interact_simd mirrors interact's
   // expression DAG per lane: the early-out becomes a mask, stores blend.
   // Keep both bodies in lockstep.
 
@@ -141,7 +141,7 @@ class ShortRangeKernel {
     v::vfloat fs = v::broadcast(1.0f);
     if (split_) {
       // The split factor is double-precision erfc/exp scalar code; calling
-      // it per live lane keeps kSimd bitwise identical to the scalar path
+      // it per live lane keeps vector tiles bitwise identical to scalar
       // (split == nullptr launches stay fully vectorized).
       alignas(32) float rl[v::kWidth];
       alignas(32) float fl[v::kWidth];

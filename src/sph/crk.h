@@ -77,7 +77,7 @@ struct CorrectedGradV {
   gpu::simd::vfloat x, y, z;
 };
 
-/// Vector twin of corrected_grad for the kSimd momentum kernel: the same
+/// Vector twin of corrected_grad for the vector momentum kernel: the same
 /// per-lane expression DAG (the r > 1e-20 guard becomes a select; a*b+c
 /// sites go through Math::madd so ExactMath reproduces the scalar bits
 /// and FusedMath uses real FMA). Keep in lockstep with corrected_grad.

@@ -6,8 +6,8 @@
 // particle; Wendland kernels resist the pairing instability there).
 // All functions are float-typed: the short-range solver runs FP32.
 //
-// Each shape also ships vector twins (w_v / dw_dr_v) for the kSimd launch
-// schedule: the SAME expression DAG per lane — every multiply, divide and
+// Each shape also ships vector twins (w_v / dw_dr_v) for the vector tile
+// engine: the SAME expression DAG per lane — every multiply, divide and
 // constant in the same order, branches turned into masked selects — so
 // with contraction disabled (-ffp-contract=off, top-level CMakeLists) the
 // vector value of a live lane is bit-identical to the scalar call. Keep

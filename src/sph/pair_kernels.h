@@ -101,7 +101,7 @@ class DensityKernelT {
     scratch_.nnbr[i] += acc.nnbr;
   }
 
-  // --- kSimd surface (gpu/warp_simd.h): interact's DAG per lane, the
+  // --- SIMD surface (gpu/warp_simd.h): interact's DAG per lane, the
   // support early-out as a mask, accumulators blended. Keep in lockstep
   // with interact.
 
@@ -225,7 +225,7 @@ class CrkMomentKernelT {
     for (int d = 0; d < 6; ++d) m.m2[d] += acc.m.m2[d];
   }
 
-  // --- kSimd surface: interact's DAG per lane (note d = other - self
+  // --- SIMD surface: interact's DAG per lane (note d = other - self
   // here). Keep in lockstep with interact.
 
   struct SimdLanes {
@@ -438,7 +438,7 @@ class MomentumEnergyKernelT {
     scratch_.vsig[i] = std::max(scratch_.vsig[i], acc.vsig);
   }
 
-  // --- kSimd surface: interact's DAG per lane. The viscosity branch
+  // --- SIMD surface: interact's DAG per lane. The viscosity branch
   // (vdotr < 0) and std::min/std::max become selects; vsig tracking
   // max-blends under the live mask. Keep in lockstep with interact.
 

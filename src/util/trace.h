@@ -25,8 +25,8 @@
 //
 // Determinism: span *counts and nesting* on the rank thread depend only
 // on the step structure (phases, substep count, kernel passes), never on
-// thread count or LaunchSchedule — the golden-trace tests in
-// tests/test_trace.cpp pin this. Worker threads may also emit spans
+// thread count or tile engine — the golden-trace tests in
+// tests/test_trace.cpp pin the thread-count half. Worker threads may also emit spans
 // (each into its own ring); their counts are deterministic whenever the
 // emitting loop is (ThreadPool's fixed chunk decomposition).
 #pragma once

@@ -271,19 +271,19 @@ TEST(RunResult, MergeCombinesPhaseStatsByNameAndThreading) {
 TEST(RunResult, MergeKeepsCompletedAndTakesNewestSchedule) {
   RunResult a;
   a.completed = true;
-  a.launch_schedule = "leaf_owner";
+  a.simd_isa = "none";
 
   RunResult failed;
   failed.completed = false;
-  failed.launch_schedule = "simd";
+  failed.simd_isa = "avx2";
   a.merge(failed);
   // `completed` is a caller-level judgment, never merged.
   EXPECT_TRUE(a.completed);
-  EXPECT_EQ(a.launch_schedule, "simd");  // newest non-empty wins
+  EXPECT_EQ(a.simd_isa, "avx2");  // newest non-empty wins
 
   RunResult empty;
   a.merge(empty);
-  EXPECT_EQ(a.launch_schedule, "simd");  // empty never overwrites
+  EXPECT_EQ(a.simd_isa, "avx2");  // empty never overwrites
 }
 
 // --- MemFaultInjector armed-refs contract ------------------------------------

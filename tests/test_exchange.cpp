@@ -255,40 +255,33 @@ not_a_real_key = 7
 }
 
 TEST(ParamFile, AppliesLaunchKeysAndRejectsDegenerateWarpSize) {
-  const auto params = ParamFile::parse(R"(
-launch_mode = naive
-launch_schedule = leaf_owner
-)");
+  const auto params = ParamFile::parse("launch_mode = naive\n");
   ASSERT_TRUE(params.has_value());
   SimConfig config;
-  config.sph.launch.schedule = gpu::LaunchSchedule::kSimd;
-  config.gravity.launch.schedule = gpu::LaunchSchedule::kSimd;
   EXPECT_TRUE(params->apply(config).empty());
   EXPECT_EQ(config.sph.launch.mode, gpu::LaunchMode::kNaive);
   EXPECT_EQ(config.gravity.launch.mode, gpu::LaunchMode::kNaive);
-  EXPECT_EQ(config.sph.launch.schedule, gpu::LaunchSchedule::kLeafOwner);
-  EXPECT_EQ(config.gravity.launch.schedule, gpu::LaunchSchedule::kLeafOwner);
 
-  // The deferred-store replay schedule is retired: it and its alias are
-  // flagged like any unknown value, and the previous schedule stays.
-  for (const char* retired : {"deferred_store", "replay"}) {
+  // The tile engine follows the build and the config, so launch_schedule
+  // is no longer a key: every former value comes back as unknown and
+  // the launch config is untouched.
+  const gpu::LaunchConfig defaults;
+  for (const char* retired : {"leaf_owner", "simd", "deferred_store"}) {
     const auto old = ParamFile::parse(std::string("launch_schedule = ") +
                                       retired + "\n");
     ASSERT_TRUE(old.has_value());
     SimConfig keep;
-    keep.sph.launch.schedule = gpu::LaunchSchedule::kSimd;
-    keep.gravity.launch.schedule = gpu::LaunchSchedule::kSimd;
     const auto flagged = old->apply(keep);
     ASSERT_EQ(flagged.size(), 1u) << retired;
     EXPECT_EQ(flagged[0], "launch_schedule");
-    EXPECT_EQ(keep.sph.launch.schedule, gpu::LaunchSchedule::kSimd);
-    EXPECT_EQ(keep.gravity.launch.schedule, gpu::LaunchSchedule::kSimd);
+    EXPECT_EQ(keep.gravity.launch.warp_size, defaults.warp_size);
+    EXPECT_EQ(keep.gravity.launch.mode, defaults.mode);
   }
 
   // warp_size = 1 would make the warp-split half-warp zero lanes wide
   // and hang the tile loop; the parser must refuse it and keep the
   // previous value.
-  const auto bad = ParamFile::parse("warp_size = 1\nlaunch_schedule = bogus\n");
+  const auto bad = ParamFile::parse("warp_size = 1\nlaunch_mode = bogus\n");
   ASSERT_TRUE(bad.has_value());
   SimConfig keep;
   keep.sph.launch.warp_size = 32;
@@ -297,7 +290,7 @@ launch_schedule = leaf_owner
   ASSERT_EQ(flagged.size(), 2u);
   EXPECT_EQ(keep.sph.launch.warp_size, 32u);
   EXPECT_EQ(keep.gravity.launch.warp_size, 32u);
-  EXPECT_EQ(keep.sph.launch.schedule, gpu::LaunchSchedule::kLeafOwner);
+  EXPECT_EQ(keep.sph.launch.mode, gpu::LaunchMode::kWarpSplit);
 }
 
 TEST(ParamFile, AppliesRankLossPolicyAndRejectsUnknownValues) {

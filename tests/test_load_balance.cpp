@@ -257,15 +257,13 @@ TEST(WorkPackets, ReplySurvivesEncodeDecodeRoundTrip) {
 // The whole migration data path in one process: extract a packet for a
 // subset of owner tasks, execute it on "another rank" (fresh scratch
 // state, adopted mesh), apply the reply, and require the result to be
-// bit-identical to the plain unbalanced launch.
+// bit-identical to the plain unbalanced launch. Warp 64 runs vector tiles
+// on AVX2 builds, warp 48 (not a power of two) always runs scalar tiles.
 class MigrationBitwiseTest
-    : public ::testing::TestWithParam<std::tuple<gpu::LaunchSchedule, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, int>> {};
 
 TEST_P(MigrationBitwiseTest, RoundTripMatchesUnbalancedLaunchBitwise) {
-  const auto [schedule, threads] = GetParam();
-  if (schedule == gpu::LaunchSchedule::kSimd && !gpu::simd_support().available) {
-    GTEST_SKIP() << "SIMD lanes unavailable in this build";
-  }
+  const auto [warp_size, threads] = GetParam();
   testsupport::ClusteredIcConfig ic;
   ic.box = 12.0;
   ic.count = 600;
@@ -280,7 +278,7 @@ TEST_P(MigrationBitwiseTest, RoundTripMatchesUnbalancedLaunchBitwise) {
   const gpu::LaunchPlan plan(mesh, pairs);
 
   gravity::GravityConfig config;
-  config.launch.schedule = schedule;
+  config.launch.warp_size = warp_size;
   util::ThreadPool pool(threads);
   util::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
 
@@ -333,17 +331,10 @@ TEST_P(MigrationBitwiseTest, RoundTripMatchesUnbalancedLaunchBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Schedules, MigrationBitwiseTest,
-    ::testing::Combine(::testing::Values(gpu::LaunchSchedule::kLeafOwner,
-                                         gpu::LaunchSchedule::kSimd),
-                       ::testing::Values(1, 8)),
-    [](const ::testing::TestParamInfo<std::tuple<gpu::LaunchSchedule, int>>&
-           info) {
-      const char* name =
-          std::get<0>(info.param) == gpu::LaunchSchedule::kLeafOwner
-              ? "leafowner"
-              : "simd";
-      return std::string(name) + "_t" +
+    Warps, MigrationBitwiseTest,
+    ::testing::Combine(::testing::Values(64u, 48u), ::testing::Values(1, 8)),
+    [](const ::testing::TestParamInfo<std::tuple<std::uint32_t, int>>& info) {
+      return "warp" + std::to_string(std::get<0>(info.param)) + "_t" +
              std::to_string(std::get<1>(info.param));
     });
 
@@ -380,15 +371,16 @@ struct ClusteredRun {
   double flop_ratio = 0.0;        ///< executed short-range max/mean
   std::uint64_t packets = 0;      ///< migrated packets, all ranks
   double imbalance_before = 0.0;  ///< run-average decision input
-  std::string launch_schedule;    ///< RunResult.launch_schedule
+  std::string simd_isa;           ///< RunResult.simd_isa
 };
 
 // Two Plummer spheres on a 2x2x1 rank grid: ranks 0 and 3 hold the
 // cores, ranks 1 and 2 are nearly empty — the canonical short-range
 // hot-spot. Gravity-only, tracing off, so every decision is pure census
 // and the runs are deterministic machine to machine.
-ClusteredRun run_clustered(int threads, gpu::LaunchSchedule schedule,
-                           double lb_threshold) {
+ClusteredRun run_clustered(
+    int threads, double lb_threshold,
+    gpu::LaunchMode mode = gpu::LaunchMode::kWarpSplit) {
   ClusteredRun out;
   std::mutex mu;
   comm::World world(4);
@@ -406,7 +398,7 @@ ClusteredRun run_clustered(int threads, gpu::LaunchSchedule schedule,
     config.threads = threads;
     config.seed = 77;
     config.sph.eta = 0.1f;  // bin width = short-range cutoff, not SPH
-    config.gravity.launch.schedule = schedule;
+    config.gravity.launch.mode = mode;
     config.lb.threshold = lb_threshold;
     SimContext ctx(config.threads);
     Simulation sim(ctx, comm, config);
@@ -436,7 +428,7 @@ ClusteredRun run_clustered(int threads, gpu::LaunchSchedule schedule,
     std::lock_guard<std::mutex> lock(mu);
     out.flop_ratio = peak / (total / comm.size());
     out.packets = static_cast<std::uint64_t>(packets);
-    out.launch_schedule = result.launch_schedule;
+    out.simd_isa = result.simd_isa;
     if (result.lb_steps > 0) {
       out.imbalance_before =
           result.lb_imbalance_before / static_cast<double>(result.lb_steps);
@@ -467,15 +459,13 @@ void expect_bitwise_equal(const ClusteredRun& got, const ClusteredRun& want) {
 }
 
 TEST(LoadBalanceEndToEnd, BalancedRunBitwiseEqualAndImbalanceDrops) {
-  const auto baseline =
-      run_clustered(1, gpu::LaunchSchedule::kLeafOwner, /*lb_threshold=*/0.0);
+  const auto baseline = run_clustered(1, /*lb_threshold=*/0.0);
   EXPECT_EQ(baseline.packets, 0u);
   EXPECT_EQ(baseline.state.size(), 3000u);
   // The clustered IC really is imbalanced without the balancer.
   EXPECT_GT(baseline.flop_ratio, 1.3);
 
-  const auto balanced =
-      run_clustered(1, gpu::LaunchSchedule::kLeafOwner, /*lb_threshold=*/1.2);
+  const auto balanced = run_clustered(1, /*lb_threshold=*/1.2);
   EXPECT_GT(balanced.packets, 0u);
   EXPECT_GT(balanced.imbalance_before, 1.2);
   // Acceptance: the executed-work imbalance ratio drops by >= 25%.
@@ -485,33 +475,21 @@ TEST(LoadBalanceEndToEnd, BalancedRunBitwiseEqualAndImbalanceDrops) {
 }
 
 TEST(LoadBalanceEndToEnd, BalancedRunsMatchBaselineAcrossSchedulesAndThreads) {
-  const auto baseline =
-      run_clustered(1, gpu::LaunchSchedule::kLeafOwner, /*lb_threshold=*/0.0);
-  std::vector<gpu::LaunchSchedule> schedules{gpu::LaunchSchedule::kLeafOwner};
-  if (gpu::simd_support().available) {
-    schedules.push_back(gpu::LaunchSchedule::kSimd);
-  }
-  for (const auto schedule : schedules) {
-    for (const int threads : {1, 8}) {
-      if (schedule == gpu::LaunchSchedule::kLeafOwner && threads == 1) {
-        continue;  // covered by the acceptance test above
-      }
-      SCOPED_TRACE("schedule " + std::to_string(static_cast<int>(schedule)) +
-                   " threads " + std::to_string(threads));
-      const auto balanced = run_clustered(threads, schedule, 1.2);
-      EXPECT_GT(balanced.packets, 0u);
-      expect_bitwise_equal(balanced, baseline);
-    }
-  }
+  const auto baseline = run_clustered(1, /*lb_threshold=*/0.0);
+  const auto balanced = run_clustered(8, /*lb_threshold=*/1.2);
+  EXPECT_GT(balanced.packets, 0u);
+  expect_bitwise_equal(balanced, baseline);
 }
 
-// run_clustered is gravity-only (hydro off): the reported schedule must be
-// the one its gravity launches ran, not the idle SPH solver's default.
-TEST(RunResultSchedule, GravityOnlyRunReportsGravitySchedule) {
-  if (!gpu::simd::kAvailable) GTEST_SKIP() << "SIMD disabled in this build";
-  const auto run =
-      run_clustered(1, gpu::LaunchSchedule::kSimd, /*lb_threshold=*/0.0);
-  EXPECT_EQ(run.launch_schedule, "simd");
+// run_clustered is gravity-only (hydro off): the reported ISA is the one
+// its gravity tiles ran on — the compiled backend by default, "none"
+// once naive mode leaves no lanes to vectorize.
+TEST(RunResultSimdIsa, GravityOnlyRunReportsGravityTileIsa) {
+  EXPECT_EQ(run_clustered(1, /*lb_threshold=*/0.0).simd_isa,
+            gpu::simd::kIsaName);
+  EXPECT_EQ(
+      run_clustered(1, /*lb_threshold=*/0.0, gpu::LaunchMode::kNaive).simd_isa,
+      "none");
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
-// Differential correctness harness for the kSimd launch schedule.
+// Differential correctness harness for the vector tile engine.
 //
 // The contract under test (gpu/simd.h, gpu/warp_simd.h): with the default
-// SimdMath::kExact policy, kSimd launches are BITWISE identical to the
-// serial scalar driver — for every kernel with a SIMD form, every
-// power-of-two warp size, every thread count, and every leaf geometry
-// (ragged chunks, single leaves, empty pair lists). The explicitly-gated
-// SimdMath::kFused mode trades that identity for real FMA and must stay
-// within a per-field ULP bound, reported here as a histogram.
+// SimdMath::kExact policy, a kernel launched as built — vector tiles
+// wherever LaunchConfig::vector_tiles() holds — is BITWISE identical to
+// the same kernel pinned to the scalar tiles through gpu::ScalarTiles,
+// for every kernel with a SIMD form, every power-of-two warp size, every
+// thread count, and every leaf geometry (ragged chunks, single leaves,
+// empty pair lists). The explicitly-gated SimdMath::kFused mode trades
+// that identity for real FMA and must stay within a per-field ULP bound,
+// reported here as a histogram.
 //
 // The harness layers:
 //   1. lane-primitive goldens (rotate/reduce/select/min/max/neg, signed
@@ -16,10 +18,11 @@
 //      order, diagonal skip, or kI/kJ one-sided walks changes bits;
 //   3. the four production kernels (density, CRK moments, momentum-
 //      energy, short-range gravity with and without a ForceSplit) run
-//      through serial scalar / leaf-owner / kSimd and compared
-//      byte-for-byte, with LaunchStats parity;
+//      as built and through ScalarTiles, serially and @8 threads, and
+//      compared byte-for-byte, with LaunchStats parity;
 //   4. the ULP gate for kFused;
-//   5. config validation and param-file parsing for the simd knobs.
+//   5. the engine-selection truth table, the device surface, and
+//      param-file parsing for simd_math.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -297,9 +300,25 @@ Particles random_particles(std::size_t n, double box, std::uint64_t seed) {
 
 using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
+/// Which tile engine a harness launch runs: the kernel as built (vector
+/// tiles wherever LaunchConfig::vector_tiles() holds) or the scalar
+/// reference, the kernel wrapped in ScalarTiles.
+enum class Tiles { kAsBuilt, kScalar };
+
+template <typename Kernel>
+LaunchStats launch_on(Tiles tiles, Kernel& kernel,
+                      const tree::ChainingMesh& mesh, const LaunchPlan& plan,
+                      const LaunchConfig& config, util::ThreadPool* pool) {
+  if (tiles == Tiles::kScalar) {
+    ScalarTiles<Kernel> scalar(kernel);
+    return launch_pair_kernel(scalar, mesh, plan, config, pool);
+  }
+  return launch_pair_kernel(kernel, mesh, plan, config, pool);
+}
+
 std::vector<float> run_rotation_order(const Particles& p,
                                       const tree::ChainingMesh& mesh,
-                                      const PairList& pairs,
+                                      const PairList& pairs, Tiles tiles,
                                       const LaunchConfig& config,
                                       util::ThreadPool* pool = nullptr,
                                       LaunchStats* stats_out = nullptr) {
@@ -309,8 +328,8 @@ std::vector<float> run_rotation_order(const Particles& p,
   }
   std::vector<float> out(p.size(), 1.0f);
   RotationOrderKernel kernel(tags, out);
-  const auto stats =
-      launch_pair_kernel(kernel, mesh, LaunchPlan(mesh, pairs), config, pool);
+  const auto stats = launch_on(tiles, kernel, mesh, LaunchPlan(mesh, pairs),
+                               config, pool);
   if (stats_out) *stats_out = stats;
   return out;
 }
@@ -318,8 +337,7 @@ std::vector<float> run_rotation_order(const Particles& p,
 class RotationOrderTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(RotationOrderTest, SimdPreservesScalarOperandOrder) {
-  if (!simd::kAvailable) GTEST_SKIP() << "SIMD disabled in this build";
-  const std::uint32_t warp_size = GetParam();
+  const LaunchConfig config{.warp_size = GetParam()};
   util::ThreadPool pool(8);
   // Several geometries: ragged tiny leaves, chunk-sized leaves, and a
   // single leaf holding everything.
@@ -329,24 +347,17 @@ TEST_P(RotationOrderTest, SimdPreservesScalarOperandOrder) {
     mesh.build(p);
     const auto pairs = mesh.interaction_pairs(10.0);
 
-    LaunchStats scalar_stats, simd_stats;
-    const auto scalar = run_rotation_order(
-        p, mesh, pairs, LaunchConfig{.warp_size = warp_size}, nullptr,
-        &scalar_stats);
-    const auto simd_serial = run_rotation_order(
-        p, mesh, pairs,
-        LaunchConfig{.warp_size = warp_size,
-                     .schedule = LaunchSchedule::kSimd},
-        nullptr, &simd_stats);
-    const auto simd_pool = run_rotation_order(
-        p, mesh, pairs,
-        LaunchConfig{.warp_size = warp_size,
-                     .schedule = LaunchSchedule::kSimd},
-        &pool);
-    expect_bitwise_eq(scalar, simd_serial, "simd serial vs scalar serial");
-    expect_bitwise_eq(scalar, simd_pool, "simd @8 threads vs scalar serial");
-    expect_counter_parity(scalar_stats, simd_stats,
-                          "simd serial stats vs scalar");
+    LaunchStats scalar_stats, built_stats;
+    const auto scalar = run_rotation_order(p, mesh, pairs, Tiles::kScalar,
+                                           config, nullptr, &scalar_stats);
+    const auto built_serial = run_rotation_order(
+        p, mesh, pairs, Tiles::kAsBuilt, config, nullptr, &built_stats);
+    const auto built_pool =
+        run_rotation_order(p, mesh, pairs, Tiles::kAsBuilt, config, &pool);
+    expect_bitwise_eq(scalar, built_serial, "as built serial vs scalar");
+    expect_bitwise_eq(scalar, built_pool, "as built @8 threads vs scalar");
+    expect_counter_parity(scalar_stats, built_stats,
+                          "as built serial stats vs scalar");
   }
 }
 
@@ -357,7 +368,7 @@ INSTANTIATE_TEST_SUITE_P(WarpSizes, RotationOrderTest,
 
 /// Gas fixture with every scratch field the SPH kernels read populated
 /// deterministically (no physics pipeline needed for a differential
-/// test — only identical inputs across schedules).
+/// test — only identical inputs across tile engines).
 struct GasFixture {
   Particles p;
   sph::SphScratch scratch;
@@ -412,25 +423,27 @@ struct GasFixture {
 /// named float vectors for byte comparison and ULP accounting.
 using FieldSnapshot = std::vector<std::pair<std::string, std::vector<float>>>;
 
-FieldSnapshot run_density(GasFixture& f, const LaunchConfig& config,
-                          util::ThreadPool* pool, LaunchStats* stats_out) {
+FieldSnapshot run_density(GasFixture& f, Tiles tiles,
+                          const LaunchConfig& config, util::ThreadPool* pool,
+                          LaunchStats* stats_out) {
   const std::vector<float> rho_in = f.p.rho;  // restored below
   std::fill(f.p.rho.begin(), f.p.rho.end(), 0.0f);
   std::fill(f.scratch.nnbr.begin(), f.scratch.nnbr.end(), 0.0f);
   sph::DensityKernel kernel(f.p, f.scratch, nullptr);
-  const auto stats = launch_pair_kernel(kernel, f.mesh, f.plan, config, pool);
+  const auto stats = launch_on(tiles, kernel, f.mesh, f.plan, config, pool);
   if (stats_out) *stats_out = stats;
   FieldSnapshot snap{{"rho", f.p.rho}, {"nnbr", f.scratch.nnbr}};
   f.p.rho = rho_in;
   return snap;
 }
 
-FieldSnapshot run_moments(GasFixture& f, const LaunchConfig& config,
-                          util::ThreadPool* pool, LaunchStats* stats_out) {
+FieldSnapshot run_moments(GasFixture& f, Tiles tiles,
+                          const LaunchConfig& config, util::ThreadPool* pool,
+                          LaunchStats* stats_out) {
   std::fill(f.scratch.moments.begin(), f.scratch.moments.end(),
             sph::CrkMoments{});
   sph::CrkMomentKernel kernel(f.p, f.scratch, nullptr);
-  const auto stats = launch_pair_kernel(kernel, f.mesh, f.plan, config, pool);
+  const auto stats = launch_on(tiles, kernel, f.mesh, f.plan, config, pool);
   if (stats_out) *stats_out = stats;
   std::vector<float> m0, m1, m2;
   for (const auto& m : f.scratch.moments) {
@@ -441,8 +454,9 @@ FieldSnapshot run_moments(GasFixture& f, const LaunchConfig& config,
   return {{"m0", std::move(m0)}, {"m1", std::move(m1)}, {"m2", std::move(m2)}};
 }
 
-FieldSnapshot run_momentum(GasFixture& f, const LaunchConfig& config,
-                           util::ThreadPool* pool, LaunchStats* stats_out) {
+FieldSnapshot run_momentum(GasFixture& f, Tiles tiles,
+                           const LaunchConfig& config, util::ThreadPool* pool,
+                           LaunchStats* stats_out) {
   std::fill(f.p.ax.begin(), f.p.ax.end(), 0.0f);
   std::fill(f.p.ay.begin(), f.p.ay.end(), 0.0f);
   std::fill(f.p.az.begin(), f.p.az.end(), 0.0f);
@@ -450,7 +464,7 @@ FieldSnapshot run_momentum(GasFixture& f, const LaunchConfig& config,
   std::fill(f.scratch.vsig.begin(), f.scratch.vsig.end(), 0.0f);
   sph::MomentumEnergyKernel kernel(f.p, f.scratch, nullptr,
                                    sph::ViscosityParams{});
-  const auto stats = launch_pair_kernel(kernel, f.mesh, f.plan, config, pool);
+  const auto stats = launch_on(tiles, kernel, f.mesh, f.plan, config, pool);
   if (stats_out) *stats_out = stats;
   return {{"ax", f.p.ax},
           {"ay", f.p.ay},
@@ -461,7 +475,7 @@ FieldSnapshot run_momentum(GasFixture& f, const LaunchConfig& config,
 
 FieldSnapshot run_gravity(Particles& p, const tree::ChainingMesh& mesh,
                           const PairList& pairs,
-                          const mesh::ForceSplit* split,
+                          const mesh::ForceSplit* split, Tiles tiles,
                           const LaunchConfig& config, util::ThreadPool* pool,
                           LaunchStats* stats_out) {
   std::fill(p.ax.begin(), p.ax.end(), 0.0f);
@@ -469,7 +483,7 @@ FieldSnapshot run_gravity(Particles& p, const tree::ChainingMesh& mesh,
   std::fill(p.az.begin(), p.az.end(), 0.0f);
   gravity::ShortRangeKernel kernel(p, nullptr, split, 1.0f, 0.05f, 1.9f);
   const auto stats =
-      launch_pair_kernel(kernel, mesh, LaunchPlan(mesh, pairs), config, pool);
+      launch_on(tiles, kernel, mesh, LaunchPlan(mesh, pairs), config, pool);
   if (stats_out) *stats_out = stats;
   return {{"ax", p.ax}, {"ay", p.ay}, {"az", p.az}};
 }
@@ -484,69 +498,70 @@ void expect_snapshot_bitwise_eq(const FieldSnapshot& a, const FieldSnapshot& b,
   }
 }
 
-/// The full differential sweep for one runner: serial scalar baseline vs
-/// kSimd serial, kSimd @8 threads, leaf-owner @8 — all bitwise — plus
-/// counter parity for the kSimd serial run.
+/// The full differential sweep for one runner: the reference is a serial
+/// ScalarTiles launch; the kernel as built (serial and @8 threads) and
+/// ScalarTiles @8 must all match it bitwise and on every LaunchStats
+/// counter. An as-built launch's register footprint tells which engine
+/// it ran: it must differ from the scalar reference's exactly when
+/// config.vector_tiles() holds (every kernel here has a SIMD form).
 template <typename Runner>
 void differential_sweep(Runner&& run, std::uint32_t warp_size,
                         const std::string& label) {
   util::ThreadPool pool(8);
-  LaunchStats scalar_stats, simd_stats;
-  const auto scalar =
-      run(LaunchConfig{.warp_size = warp_size}, nullptr, &scalar_stats);
-  const auto simd_serial = run(
-      LaunchConfig{.warp_size = warp_size, .schedule = LaunchSchedule::kSimd},
-      nullptr, &simd_stats);
-  const auto simd_pool = run(
-      LaunchConfig{.warp_size = warp_size, .schedule = LaunchSchedule::kSimd},
-      &pool, nullptr);
-  const auto owner_pool =
-      run(LaunchConfig{.warp_size = warp_size,
-                       .schedule = LaunchSchedule::kLeafOwner},
-          &pool, nullptr);
-  expect_snapshot_bitwise_eq(scalar, simd_serial, label + " simd serial");
-  expect_snapshot_bitwise_eq(scalar, simd_pool, label + " simd @8");
-  expect_snapshot_bitwise_eq(scalar, owner_pool, label + " leaf-owner @8");
-  expect_counter_parity(scalar_stats, simd_stats, (label + " stats").c_str());
+  const LaunchConfig config{.warp_size = warp_size};
+  LaunchStats ref_stats;
+  const auto reference = run(Tiles::kScalar, config, nullptr, &ref_stats);
+  struct Variant {
+    Tiles tiles;
+    util::ThreadPool* pool;
+    const char* name;
+  };
+  for (const Variant& v : {Variant{Tiles::kAsBuilt, nullptr, " as built"},
+                           Variant{Tiles::kAsBuilt, &pool, " as built @8"},
+                           Variant{Tiles::kScalar, &pool, " scalar @8"}}) {
+    LaunchStats stats;
+    expect_snapshot_bitwise_eq(reference, run(v.tiles, config, v.pool, &stats),
+                               label + v.name);
+    expect_counter_parity(ref_stats, stats, (label + v.name).c_str());
+    if (v.tiles == Tiles::kAsBuilt) {
+      EXPECT_EQ(stats.register_bytes_per_thread !=
+                    ref_stats.register_bytes_per_thread,
+                config.vector_tiles())
+          << label << v.name << " ran the wrong tile engine";
+    }
+  }
 }
 
 class SimdDifferentialTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(SimdDifferentialTest, DensityBitwiseAcrossSchedules) {
-  if (!simd::kAvailable) GTEST_SKIP() << "SIMD disabled in this build";
   const std::uint32_t warp = GetParam();
   GasFixture f(6, 6.0, 16, 51);
   differential_sweep(
-      [&](const LaunchConfig& c, util::ThreadPool* pool, LaunchStats* s) {
-        return run_density(f, c, pool, s);
-      },
+      [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pool,
+          LaunchStats* s) { return run_density(f, t, c, pool, s); },
       warp, "density w" + std::to_string(warp));
 }
 
 TEST_P(SimdDifferentialTest, CrkMomentsBitwiseAcrossSchedules) {
-  if (!simd::kAvailable) GTEST_SKIP() << "SIMD disabled in this build";
   const std::uint32_t warp = GetParam();
   GasFixture f(6, 6.0, 16, 52);
   differential_sweep(
-      [&](const LaunchConfig& c, util::ThreadPool* pool, LaunchStats* s) {
-        return run_moments(f, c, pool, s);
-      },
+      [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pool,
+          LaunchStats* s) { return run_moments(f, t, c, pool, s); },
       warp, "moments w" + std::to_string(warp));
 }
 
 TEST_P(SimdDifferentialTest, MomentumEnergyBitwiseAcrossSchedules) {
-  if (!simd::kAvailable) GTEST_SKIP() << "SIMD disabled in this build";
   const std::uint32_t warp = GetParam();
   GasFixture f(6, 6.0, 16, 53);
   differential_sweep(
-      [&](const LaunchConfig& c, util::ThreadPool* pool, LaunchStats* s) {
-        return run_momentum(f, c, pool, s);
-      },
+      [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pool,
+          LaunchStats* s) { return run_momentum(f, t, c, pool, s); },
       warp, "momentum w" + std::to_string(warp));
 }
 
 TEST_P(SimdDifferentialTest, GravityBitwiseAcrossSchedules) {
-  if (!simd::kAvailable) GTEST_SKIP() << "SIMD disabled in this build";
   const std::uint32_t warp = GetParam();
   auto p = random_particles(250, 6.0, 54);
   tree::ChainingMesh mesh(cube(6.0), {2.0, 16});
@@ -558,10 +573,11 @@ TEST_P(SimdDifferentialTest, GravityBitwiseAcrossSchedules) {
                                         nullptr),
                                     &split}) {
     differential_sweep(
-        [&](const LaunchConfig& c, util::ThreadPool* pool, LaunchStats* st) {
-          return run_gravity(p, mesh, pairs, s, c, pool, st);
+        [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pool,
+            LaunchStats* st) {
+          return run_gravity(p, mesh, pairs, s, t, c, pool, st);
         },
-        GetParam(),
+        warp,
         std::string("gravity ") + (s ? "split" : "newtonian") + " w" +
             std::to_string(warp));
   }
@@ -571,32 +587,26 @@ INSTANTIATE_TEST_SUITE_P(WarpSizes, SimdDifferentialTest,
                          ::testing::Values(2u, 4u, 8u, 16u, 64u));
 
 TEST(SimdDifferential, WendlandDensityBitwise) {
-  if (!simd::kAvailable) GTEST_SKIP() << "SIMD disabled in this build";
   GasFixture f(5, 5.0, 16, 55);
   util::ThreadPool pool(8);
-  const auto run = [&](const LaunchConfig& c, util::ThreadPool* p) {
+  const auto run = [&](Tiles t, util::ThreadPool* p) {
     const std::vector<float> rho_in = f.p.rho;
     std::fill(f.p.rho.begin(), f.p.rho.end(), 0.0f);
     std::fill(f.scratch.nnbr.begin(), f.scratch.nnbr.end(), 0.0f);
     sph::DensityKernelT<sph::WendlandC4> kernel(f.p, f.scratch, nullptr);
-    launch_pair_kernel(kernel, f.mesh, f.plan, c, p);
+    launch_on(t, kernel, f.mesh, f.plan, LaunchConfig{.warp_size = 16}, p);
     FieldSnapshot snap{{"rho", f.p.rho}, {"nnbr", f.scratch.nnbr}};
     f.p.rho = rho_in;
     return snap;
   };
-  const auto scalar = run(LaunchConfig{.warp_size = 16}, nullptr);
-  const auto simd_serial = run(
-      LaunchConfig{.warp_size = 16, .schedule = LaunchSchedule::kSimd},
-      nullptr);
-  const auto simd_pool = run(
-      LaunchConfig{.warp_size = 16, .schedule = LaunchSchedule::kSimd}, &pool);
-  expect_snapshot_bitwise_eq(scalar, simd_serial, "wendland simd serial");
-  expect_snapshot_bitwise_eq(scalar, simd_pool, "wendland simd @8");
+  const auto scalar = run(Tiles::kScalar, nullptr);
+  expect_snapshot_bitwise_eq(scalar, run(Tiles::kAsBuilt, nullptr),
+                             "wendland as built serial");
+  expect_snapshot_bitwise_eq(scalar, run(Tiles::kAsBuilt, &pool),
+                             "wendland as built @8");
 }
 
 TEST(SimdDifferential, EdgeGeometries) {
-  if (!simd::kAvailable) GTEST_SKIP() << "SIMD disabled in this build";
-  util::ThreadPool pool(8);
   // (particle count, leaf_size): fewer particles than a vector, leaf
   // sizes of w / w + 1 against warp 16 (w = 8 = simd::kWidth), the
   // minimum leaf capacity, and a single leaf holding everything.
@@ -610,24 +620,23 @@ TEST(SimdDifferential, EdgeGeometries) {
     const auto label = "gravity n" + std::to_string(n) + " leaf" +
                        std::to_string(leaf_size);
     differential_sweep(
-        [&](const LaunchConfig& c, util::ThreadPool* pl, LaunchStats* st) {
-          return run_gravity(p, mesh, pairs, nullptr, c, pl, st);
+        [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pl,
+            LaunchStats* st) {
+          return run_gravity(p, mesh, pairs, nullptr, t, c, pl, st);
         },
         16, label);
   }
 }
 
 TEST(SimdDifferential, EmptyPairList) {
-  if (!simd::kAvailable) GTEST_SKIP() << "SIMD disabled in this build";
   auto p = random_particles(32, 1.0, 70);
   tree::ChainingMesh mesh(cube(1.0), {2.0, 16});
   mesh.build(p);
   const PairList no_pairs;
   util::ThreadPool pool(8);
   LaunchStats stats;
-  const auto snap = run_gravity(
-      p, mesh, no_pairs, nullptr,
-      LaunchConfig{.schedule = LaunchSchedule::kSimd}, &pool, &stats);
+  const auto snap = run_gravity(p, mesh, no_pairs, nullptr, Tiles::kAsBuilt,
+                                LaunchConfig{}, &pool, &stats);
   EXPECT_EQ(stats.interactions, 0u);
   EXPECT_EQ(stats.stores, 0u);
   for (const auto& [name, field] : snap) {
@@ -636,19 +645,18 @@ TEST(SimdDifferential, EmptyPairList) {
 }
 
 TEST(SimdDifferential, RegisterBytesReflectLaneBuffers) {
-  if (!simd::kAvailable) GTEST_SKIP() << "SIMD disabled in this build";
   GasFixture f(4, 4.0, 16, 71);
-  LaunchStats scalar_stats, simd_stats;
-  run_density(f, LaunchConfig{}, nullptr, &scalar_stats);
-  run_density(f, LaunchConfig{.schedule = LaunchSchedule::kSimd}, nullptr,
-              &simd_stats);
-  EXPECT_EQ(simd_stats.register_bytes_per_thread,
-            2 * sizeof(sph::DensityKernel::SimdLanes) +
-                sizeof(sph::DensityKernel::SimdAccum));
-  EXPECT_EQ(scalar_stats.register_bytes_per_thread,
-            sizeof(sph::DensityKernel::State) +
-                sizeof(sph::DensityKernel::Partial) +
-                sizeof(sph::DensityKernel::Accum));
+  LaunchStats scalar_stats, built_stats;
+  run_density(f, Tiles::kScalar, LaunchConfig{}, nullptr, &scalar_stats);
+  run_density(f, Tiles::kAsBuilt, LaunchConfig{}, nullptr, &built_stats);
+  const std::size_t scalar_bytes = sizeof(sph::DensityKernel::State) +
+                                   sizeof(sph::DensityKernel::Partial) +
+                                   sizeof(sph::DensityKernel::Accum);
+  const std::size_t lane_bytes = 2 * sizeof(sph::DensityKernel::SimdLanes) +
+                                 sizeof(sph::DensityKernel::SimdAccum);
+  EXPECT_EQ(scalar_stats.register_bytes_per_thread, scalar_bytes);
+  EXPECT_EQ(built_stats.register_bytes_per_thread,
+            LaunchConfig{}.vector_tiles() ? lane_bytes : scalar_bytes);
 }
 
 // --- 4. the ULP gate for SimdMath::kFused ------------------------------------
@@ -727,68 +735,90 @@ void expect_ulp_bounded(const FieldSnapshot& scalar, const FieldSnapshot& fused,
 }
 
 TEST(SimdFusedMath, UlpBoundedAgainstScalar) {
-  if (!simd::kAvailable) GTEST_SKIP() << "SIMD disabled in this build";
+  if (!simd::kAvailable) GTEST_SKIP() << "no vector tiles in this build";
   GasFixture f(6, 6.0, 16, 80);
+  // Scalar side: ScalarTiles under the default exact math. Fused side:
+  // the kernel as built, which takes vector tiles at warp 16.
   const LaunchConfig scalar_cfg{.warp_size = 16};
   const LaunchConfig fused_cfg{.warp_size = 16,
-                               .schedule = LaunchSchedule::kSimd,
                                .simd_math = SimdMath::kFused};
-  expect_ulp_bounded(run_density(f, scalar_cfg, nullptr, nullptr),
-                     run_density(f, fused_cfg, nullptr, nullptr), "density");
-  expect_ulp_bounded(run_moments(f, scalar_cfg, nullptr, nullptr),
-                     run_moments(f, fused_cfg, nullptr, nullptr), "moments");
-  expect_ulp_bounded(run_momentum(f, scalar_cfg, nullptr, nullptr),
-                     run_momentum(f, fused_cfg, nullptr, nullptr), "momentum");
+  const Tiles scalar = Tiles::kScalar;
+  const Tiles fused = Tiles::kAsBuilt;
+  expect_ulp_bounded(run_density(f, scalar, scalar_cfg, nullptr, nullptr),
+                     run_density(f, fused, fused_cfg, nullptr, nullptr),
+                     "density");
+  expect_ulp_bounded(run_moments(f, scalar, scalar_cfg, nullptr, nullptr),
+                     run_moments(f, fused, fused_cfg, nullptr, nullptr),
+                     "moments");
+  expect_ulp_bounded(run_momentum(f, scalar, scalar_cfg, nullptr, nullptr),
+                     run_momentum(f, fused, fused_cfg, nullptr, nullptr),
+                     "momentum");
 
   auto gp = random_particles(250, 6.0, 81);
   tree::ChainingMesh gmesh(cube(6.0), {2.0, 16});
   gmesh.build(gp);
   const auto gpairs = gmesh.interaction_pairs(10.0);
-  expect_ulp_bounded(
-      run_gravity(gp, gmesh, gpairs, nullptr, scalar_cfg, nullptr, nullptr),
-      run_gravity(gp, gmesh, gpairs, nullptr, fused_cfg, nullptr, nullptr),
-      "gravity");
+  expect_ulp_bounded(run_gravity(gp, gmesh, gpairs, nullptr, scalar,
+                                 scalar_cfg, nullptr, nullptr),
+                     run_gravity(gp, gmesh, gpairs, nullptr, fused, fused_cfg,
+                                 nullptr, nullptr),
+                     "gravity");
 }
 
 TEST(SimdFusedMath, FusedStaysDeterministicAcrossThreads) {
-  if (!simd::kAvailable) GTEST_SKIP() << "SIMD disabled in this build";
+  if (!simd::kAvailable) GTEST_SKIP() << "no vector tiles in this build";
   // kFused gives up scalar parity, NOT determinism: serial and 8-thread
   // fused launches must still agree bitwise.
   GasFixture f(6, 6.0, 16, 82);
   util::ThreadPool pool(8);
   const LaunchConfig fused_cfg{.warp_size = 16,
-                               .schedule = LaunchSchedule::kSimd,
                                .simd_math = SimdMath::kFused};
-  const auto serial = run_momentum(f, fused_cfg, nullptr, nullptr);
-  const auto pooled = run_momentum(f, fused_cfg, &pool, nullptr);
+  const auto serial =
+      run_momentum(f, Tiles::kAsBuilt, fused_cfg, nullptr, nullptr);
+  const auto pooled =
+      run_momentum(f, Tiles::kAsBuilt, fused_cfg, &pool, nullptr);
   expect_snapshot_bitwise_eq(serial, pooled, "fused serial vs @8");
 }
 
-// --- 5. config validation, device surface, param parsing ---------------------
+// --- 5. engine selection, device surface, param parsing ----------------------
 
-TEST(SimdConfigValidation, RejectsUnsupportedCombinations) {
-  LaunchConfig config{.schedule = LaunchSchedule::kSimd};
-  if (!simd::kAvailable) {
-    ASSERT_NE(config.invalid_reason(), nullptr);
-    EXPECT_NE(std::string(config.invalid_reason()).find("SIMD"),
-              std::string::npos);
-    return;
+TEST(SimdConfigValidation, VectorTilesTruthTable) {
+  // Every (mode, warp) pair below is a valid config; the engine follows:
+  // vector tiles <=> AVX2 compiled in, warp-split, power-of-two warp.
+  for (const LaunchMode mode : {LaunchMode::kNaive, LaunchMode::kWarpSplit}) {
+    for (const std::uint32_t warp :
+         {2u, 3u, 4u, 6u, 8u, 10u, 16u, 24u, 32u, 48u, 64u}) {
+      const LaunchConfig config{.warp_size = warp, .mode = mode};
+      const bool pow2 = (warp & (warp - 1)) == 0;
+      EXPECT_EQ(config.invalid_reason(), nullptr) << "warp " << warp;
+      EXPECT_EQ(config.vector_tiles(),
+                simd::kAvailable && mode == LaunchMode::kWarpSplit && pow2)
+          << "warp " << warp << " naive " << (mode == LaunchMode::kNaive);
+    }
   }
-  EXPECT_EQ(config.invalid_reason(), nullptr);
-  config.mode = LaunchMode::kNaive;
-  EXPECT_NE(config.invalid_reason(), nullptr);
-  config.mode = LaunchMode::kWarpSplit;
-  for (const std::uint32_t bad : {3u, 6u, 10u, 24u}) {
-    config.warp_size = bad;
-    EXPECT_NE(config.invalid_reason(), nullptr) << "warp_size " << bad;
+  EXPECT_NE(LaunchConfig{.warp_size = 1}.invalid_reason(), nullptr);
+
+  // The configs outside the vector engine launch fine and run scalar
+  // tiles: bitwise equal to ScalarTiles, with the scalar footprint.
+  GasFixture f(5, 5.0, 16, 72);
+  for (const LaunchConfig config :
+       {LaunchConfig{.mode = LaunchMode::kNaive}, LaunchConfig{.warp_size = 6},
+        LaunchConfig{.warp_size = 24}}) {
+    ASSERT_FALSE(config.vector_tiles());
+    const std::string label = "warp " + std::to_string(config.warp_size) +
+                              (config.mode == LaunchMode::kNaive ? " naive"
+                                                                 : "");
+    LaunchStats scalar_stats, built_stats;
+    const auto scalar =
+        run_momentum(f, Tiles::kScalar, config, nullptr, &scalar_stats);
+    const auto built =
+        run_momentum(f, Tiles::kAsBuilt, config, nullptr, &built_stats);
+    expect_snapshot_bitwise_eq(scalar, built, label);
+    expect_counter_parity(scalar_stats, built_stats, label.c_str());
+    EXPECT_EQ(built_stats.register_bytes_per_thread,
+              scalar_stats.register_bytes_per_thread)
+        << label;
   }
-  for (const std::uint32_t good : {2u, 4u, 8u, 16u, 32u, 64u}) {
-    config.warp_size = good;
-    EXPECT_EQ(config.invalid_reason(), nullptr) << "warp_size " << good;
-  }
-  // The other schedules still accept non-power-of-two warps.
-  config = LaunchConfig{.warp_size = 6};
-  EXPECT_EQ(config.invalid_reason(), nullptr);
 }
 
 TEST(SimdSupportSurface, ReportsCompiledBackend) {
@@ -797,27 +827,10 @@ TEST(SimdSupportSurface, ReportsCompiledBackend) {
   EXPECT_STREQ(support.isa, simd::kIsaName);
   if (support.available) {
     EXPECT_EQ(support.width, static_cast<int>(simd::kWidth));
-    EXPECT_TRUE(std::string(support.isa) == "avx2" ||
-                std::string(support.isa) == "scalar");
+    EXPECT_STREQ(support.isa, "avx2");
   } else {
     EXPECT_EQ(support.width, 0);
     EXPECT_STREQ(support.isa, "none");
-  }
-}
-
-TEST(SimdParamFile, LaunchScheduleSimdKey) {
-  const auto params = core::ParamFile::parse("launch_schedule = simd\n");
-  ASSERT_TRUE(params.has_value());
-  core::SimConfig config;
-  const auto flagged = params->apply(config);
-  if (simd::kAvailable) {
-    EXPECT_TRUE(flagged.empty());
-    EXPECT_EQ(config.sph.launch.schedule, LaunchSchedule::kSimd);
-    EXPECT_EQ(config.gravity.launch.schedule, LaunchSchedule::kSimd);
-  } else {
-    // Warn-once + keep-previous: the run proceeds on the old schedule.
-    ASSERT_EQ(flagged.size(), 1u);
-    EXPECT_EQ(config.sph.launch.schedule, LaunchSchedule::kLeafOwner);
   }
 }
 

@@ -2,7 +2,7 @@
 // span recording/nesting, per-thread ring-buffer overflow semantics,
 // Chrome trace_event JSON schema validation, and — the load-bearing
 // guarantee — span counts and nesting identical for threads=1 vs
-// threads=8 and across LaunchSchedule modes. The instrumented pipeline
+// threads=8. The instrumented pipeline
 // emits structural spans on the rank thread only, so the trace signature
 // is a function of the step structure, never of the scheduler.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 
 #include "comm/world.h"
 #include "core/simulation.h"
-#include "gpu/launch.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
@@ -451,19 +450,6 @@ TEST(GoldenTrace, SpanCountsAndNestingIdenticalAcrossThreadCounts) {
   config.threads = 8;
   const auto threaded = run_and_sign(config);
   EXPECT_EQ(serial, threaded);
-}
-
-TEST(GoldenTrace, SpanCountsAndNestingIdenticalAcrossSchedules) {
-  if (!gpu::simd::kAvailable) GTEST_SKIP() << "SIMD disabled in this build";
-  auto config = trace_config();
-  config.threads = 4;
-  config.sph.launch.schedule = gpu::LaunchSchedule::kLeafOwner;
-  config.gravity.launch.schedule = gpu::LaunchSchedule::kLeafOwner;
-  const auto owner = run_and_sign(config);
-  config.sph.launch.schedule = gpu::LaunchSchedule::kSimd;
-  config.gravity.launch.schedule = gpu::LaunchSchedule::kSimd;
-  const auto simd = run_and_sign(config);
-  EXPECT_EQ(owner, simd);
 }
 
 TEST(GoldenTrace, StructuralSpansMatchStepReport) {
