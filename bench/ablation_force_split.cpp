@@ -107,8 +107,10 @@ int main() {
       core::exchange_and_overload(comm, decomp, p, overload);
       pm.apply(comm, p, overload);  // long-range into ax (a=1: no scaling)
 
-      tree::ChainingMesh mesh(decomp.overloaded_box(0, overload),
-                              {std::max(overload, 2.0), 64});
+      // One rank: the chaining mesh wraps the box (no ghost replicas).
+      tree::ChainingMesh mesh(decomp.local_box(0),
+                              {std::max(overload, 2.0), 64,
+                               /*periodic=*/decomp.self_periodic()});
       mesh.build(p);
       gravity::GravityConfig gconfig;
       gconfig.softening = softening;

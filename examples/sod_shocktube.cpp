@@ -8,6 +8,12 @@
 // off, a = 1), and the density / velocity / pressure profiles are
 // compared against the exact Riemann solution at the final time.
 //
+// Periodicity comes from a periodic chaining mesh over the tube itself
+// (tree/chaining_mesh.h): pair kernels read neighbors at their image
+// positions, so no replica layer is built or evolved. Its bins cover
+// the widest kernel support, 2 h_max, so the 27-bin stencil reaches
+// every neighbor inside the support.
+//
 // Registered in ctest as the `sod_shocktube` physics-acceptance test:
 // the binned L1 errors against the exact solution are gated (exit 1 on
 // violation), so hydro regressions that shift the wave fan fail CI, not
@@ -109,43 +115,6 @@ RiemannSolution sample_riemann(double rho_l, double p_l, double rho_r,
 
 constexpr double kLx = 16.0, kLyz = 2.0;
 
-/// Rebuild the ghost layer for the anisotropic periodic tube: replicate
-/// owned particles within `pad` of any face, with image offsets.
-void rebuild_ghosts(Particles& p, double pad) {
-  std::vector<bool> keep(p.size());
-  for (std::size_t i = 0; i < p.size(); ++i) keep[i] = p.is_owned(i);
-  p.compact(keep);
-  const std::size_t owned = p.size();
-  const double extent[3] = {kLx, kLyz, kLyz};
-  for (std::size_t i = 0; i < owned; ++i) {
-    const float pos[3] = {p.x[i], p.y[i], p.z[i]};
-    for (int ox = -1; ox <= 1; ++ox) {
-      for (int oy = -1; oy <= 1; ++oy) {
-        for (int oz = -1; oz <= 1; ++oz) {
-          if (ox == 0 && oy == 0 && oz == 0) continue;
-          const int off[3] = {ox, oy, oz};
-          bool in_shell = true;
-          float image[3];
-          for (int d = 0; d < 3; ++d) {
-            image[d] = pos[d] + static_cast<float>(off[d] * extent[d]);
-            if (image[d] < -pad || image[d] > extent[d] + pad) {
-              in_shell = false;
-              break;
-            }
-          }
-          if (!in_shell) continue;
-          auto record = p.record(i);
-          record.x = image[0];
-          record.y = image[1];
-          record.z = image[2];
-          record.ghost = 1;
-          p.append_record(record);
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 int main() {
@@ -186,22 +155,18 @@ int main() {
   sph::SphSolver solver(sph_config);
   gpu::FlopRegistry flops;
 
-  const double pad = 1.0;
-  comm::Box3 domain;
-  domain.lo = {-pad, -pad, -pad};
-  domain.hi = {kLx + pad, kLyz + pad, kLyz + pad};
+  // One periodic mesh over the tube; bins at least 2 h_max wide (8 x 1 x 1).
+  comm::Box3 tube;
+  tube.hi = {kLx, kLyz, kLyz};
+  const tree::ChainingMeshConfig mesh_config{
+      2.0 * static_cast<double>(sph_config.h_max), 48, /*periodic=*/true};
 
   const double t_end = 2.0;
   double t = 0.0;
   int steps = 0;
   while (t < t_end - 1e-9) {
-    rebuild_ghosts(particles, pad);
-    tree::ChainingMesh mesh(domain, {1.0, 48});
-    std::vector<std::uint32_t> gas(particles.size());
-    for (std::size_t i = 0; i < particles.size(); ++i) {
-      gas[i] = static_cast<std::uint32_t>(i);
-    }
-    mesh.build(particles, gas);
+    tree::ChainingMesh mesh(tube, mesh_config);
+    mesh.build(particles);
     std::fill(particles.ax.begin(), particles.ax.end(), 0.0f);
     std::fill(particles.ay.begin(), particles.ay.end(), 0.0f);
     std::fill(particles.az.begin(), particles.az.end(), 0.0f);
@@ -211,7 +176,6 @@ int main() {
     const double dt = std::min(
         solver.min_timestep(particles, nullptr, 1.0, 0.05), t_end - t);
     for (std::size_t i = 0; i < particles.size(); ++i) {
-      if (!particles.is_owned(i)) continue;
       particles.vx[i] += particles.ax[i] * static_cast<float>(dt);
       particles.vy[i] += particles.ay[i] * static_cast<float>(dt);
       particles.vz[i] += particles.az[i] * static_cast<float>(dt);
@@ -238,7 +202,6 @@ int main() {
   std::vector<double> rho_sum(bins, 0.0), v_sum(bins, 0.0), p_sum(bins, 0.0);
   std::vector<int> counts(bins, 0);
   for (std::size_t i = 0; i < particles.size(); ++i) {
-    if (!particles.is_owned(i)) continue;
     const double x = particles.x[i];
     if (x < x_lo || x >= x_hi) continue;
     const int b = static_cast<int>((x - x_lo) / (x_hi - x_lo) * bins);

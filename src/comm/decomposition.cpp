@@ -66,9 +66,10 @@ Box3 CartDecomposition::overloaded_box(int rank, double overload) const {
   Box3 box = local_box(rank);
   for (int d = 0; d < 3; ++d) {
     // The pad may exceed the subdomain (a rank can legitimately hold
-    // ghost images of its own particles when an axis is unsplit — the
-    // single-rank periodic case); cap at one full box so the +-1 image
-    // offsets used by the exchange always suffice.
+    // ghost images of its own particles when an axis is unsplit — a slab
+    // grid, or a one-rank world's analysis replica cloud); cap at one
+    // full box so the +-1 image offsets used by the exchange always
+    // suffice.
     const double pad = std::min(overload, box_size_);
     box.lo[d] -= pad;
     box.hi[d] += pad;

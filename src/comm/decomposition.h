@@ -36,6 +36,14 @@ class CartDecomposition {
   CartDecomposition(int num_ranks, double box_size);
 
   int num_ranks() const { return dims_[0] * dims_[1] * dims_[2]; }
+
+  /// True when the world has one rank: the rank is its own periodic
+  /// neighbor in every dimension. Short-range work then wraps the
+  /// chaining mesh (tree::ChainingMeshConfig::periodic) instead of
+  /// evolving overloaded self-image replicas, the exchange builds no
+  /// ghosts, and in situ analysis builds its replica cloud at analysis
+  /// time only (core/exchange.h). Every layer reads this one predicate.
+  bool self_periodic() const { return num_ranks() == 1; }
   double box_size() const { return box_size_; }
   const std::array<int, 3>& dims() const { return dims_; }
 

@@ -34,13 +34,18 @@ struct GhostRegion {
   std::array<double, 3> offset;
 };
 
+/// Send rules of `rank`'s overload layer. A one-rank world evolves no
+/// self-images (its chaining mesh wraps instead) unless `self_images`
+/// asks for them — the analysis replica cloud.
 std::vector<GhostRegion> build_ghost_regions(
-    const comm::CartDecomposition& decomp, int rank, double overload) {
+    const comm::CartDecomposition& decomp, int rank, double overload,
+    bool self_images) {
   const double box = decomp.box_size();
   const auto my_box = decomp.local_box(rank);
 
   std::vector<int> targets = decomp.neighbors_of(rank);
-  targets.push_back(rank);  // periodic self-images at small rank counts
+  // Periodic self-images along unsplit axes of a multi-rank grid.
+  if (self_images) targets.push_back(rank);
 
   std::vector<GhostRegion> regions;
   for (int target : targets) {
@@ -118,7 +123,8 @@ ExchangeStats exchange_and_overload(comm::Communicator& comm,
   // 3. Re-overload: replicate boundary particles (with image offsets)
   //    into every overlapping overloaded box.
   {
-    const auto regions = build_ghost_regions(decomp, rank, overload);
+    const auto regions = build_ghost_regions(decomp, rank, overload,
+                                             !decomp.self_periodic());
     std::vector<std::vector<Particles::Record>> sends(static_cast<std::size_t>(p));
     for (std::size_t i = 0; i < particles.size(); ++i) {
       const std::array<double, 3> pos{particles.x[i], particles.y[i],
@@ -142,6 +148,37 @@ ExchangeStats exchange_and_overload(comm::Communicator& comm,
     }
   }
   return stats;
+}
+
+Particles analysis_replica_cloud(const comm::CartDecomposition& decomp,
+                                 const Particles& particles, double overload) {
+  CHECK_MSG(decomp.self_periodic(),
+            "analysis replicas are built for one-rank worlds only; "
+            "multi-rank worlds carry their overload layer from the exchange");
+  HACC_TRACE_SPAN("analysis_replicas");
+  std::vector<bool> owned(particles.size());
+  for (std::size_t i = 0; i < particles.size(); ++i) {
+    owned[i] = particles.is_owned(i);
+  }
+  Particles cloud = particles;
+  cloud.compact(owned);
+  // The exchange's self-target rules, appended in its order: particle by
+  // particle, rule by rule.
+  const auto regions = build_ghost_regions(decomp, 0, overload, true);
+  const std::size_t n = cloud.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::array<double, 3> pos{cloud.x[i], cloud.y[i], cloud.z[i]};
+    for (const auto& rule : regions) {
+      if (!rule.region.contains(pos)) continue;
+      auto record = cloud.record(i);
+      record.x = static_cast<float>(pos[0] + rule.offset[0]);
+      record.y = static_cast<float>(pos[1] + rule.offset[1]);
+      record.z = static_cast<float>(pos[2] + rule.offset[2]);
+      const std::size_t idx = cloud.append_record(record);
+      cloud.ghost[idx] = 1;
+    }
+  }
+  return cloud;
 }
 
 }  // namespace crkhacc::core

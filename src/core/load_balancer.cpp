@@ -237,6 +237,11 @@ comm::WorkPacket extract_work_packet(const Particles& particles,
                                      const std::vector<std::uint8_t>& skip_task,
                                      double a_mid, std::uint32_t substep,
                                      std::uint32_t donor_rank) {
+  // Packets name leaves by real index; image ids of a periodic mesh
+  // (one-rank worlds, where there is no helper to ship to) are not
+  // representable in them.
+  CHECK_MSG(!mesh.periodic(),
+            "work packets carry no periodic image ids");
   comm::WorkPacket packet;
   packet.donor = donor_rank;
   packet.substep = substep;

@@ -53,6 +53,15 @@ SimConfig resolve_config(SimConfig config) {
   return config;
 }
 
+/// Pair-list radius on `mesh`. A periodic mesh reaches one bin, so a
+/// radius beyond it is capped there: a one-rank box narrower than the
+/// gravity cutoff, or a smoothing length corrupted since the last SDC
+/// audit (h <= h_max otherwise keeps the support inside a bin; the audit
+/// rolls the corrupted attempt back). Overloaded meshes take r as is.
+double pair_radius(const tree::ChainingMesh& mesh, double r) {
+  return mesh.periodic() ? std::min(r, mesh.min_bin_width()) : r;
+}
+
 }  // namespace
 
 Simulation::Simulation(SimContext& ctx, comm::Communicator& comm,
@@ -82,6 +91,11 @@ Simulation::Simulation(SimContext& ctx, comm::Communicator& comm,
       std::max(pm_.split().cutoff(),
                3.0 * static_cast<double>(config_.sph.eta) * spacing);
   overload_ = cm_bin_width_;
+  // A periodic mesh (one-rank world) reaches one period at most: its
+  // bins are no wider than the box.
+  if (decomp_.self_periodic()) {
+    cm_bin_width_ = std::min(cm_bin_width_, config_.box);
+  }
   // Cap smoothing lengths so kernel support never exceeds a CM bin.
   sph_.mutable_config().h_max =
       static_cast<float>(0.45 * cm_bin_width_ / sph::CubicSpline::kSupport *
@@ -168,12 +182,20 @@ void Simulation::initialize_from(Particles&& particles, std::uint64_t step) {
   a_ = a_at_step(step);
 }
 
+tree::ChainingMesh Simulation::make_mesh() const {
+  if (decomp_.self_periodic()) {
+    return tree::ChainingMesh(decomp_.local_box(comm_.rank()),
+                              {cm_bin_width_, 64, /*periodic=*/true});
+  }
+  return tree::ChainingMesh(decomp_.overloaded_box(comm_.rank(), overload_),
+                            {cm_bin_width_, 64});
+}
+
 void Simulation::prime_solver_state() {
   // One hydro evaluation to populate rho, h, cs — needed by the first
   // bin assignment and by the subgrid thresholds.
   if (!config_.hydro) return;
-  const auto obox = decomp_.overloaded_box(comm_.rank(), overload_);
-  tree::ChainingMesh gas_mesh(obox, {cm_bin_width_, 64});
+  tree::ChainingMesh gas_mesh = make_mesh();
   gas_mesh.build(particles_, gas_indices(), &pool_);
   std::fill(particles_.ax.begin(), particles_.ax.end(), 0.0f);
   std::fill(particles_.ay.begin(), particles_.ay.end(), 0.0f);
@@ -249,7 +271,7 @@ Simulation::filter_active_pairs(
   std::vector<std::pair<std::uint32_t, std::uint32_t>> filtered;
   filtered.reserve(pairs.size());
   for (const auto& pair : pairs) {
-    if (leaf_active[pair.first] || leaf_active[pair.second]) {
+    if (leaf_active[pair.first] || leaf_active[mesh.base_leaf(pair.second)]) {
       filtered.push_back(pair);
     }
   }
@@ -277,9 +299,8 @@ StepReport Simulation::step_body(SdcStepStats* stats) {
   }
 
   // --- 2. chaining mesh + trees, built once per PM step ------------------
-  const auto obox = decomp_.overloaded_box(comm_.rank(), overload_);
-  tree::ChainingMesh mesh_all(obox, {cm_bin_width_, 64});
-  tree::ChainingMesh mesh_gas(obox, {cm_bin_width_, 64});
+  tree::ChainingMesh mesh_all = make_mesh();
+  tree::ChainingMesh mesh_gas = make_mesh();
   {
     ScopedTimer t(timers_, timers::kTreeBuild);
     HACC_TRACE_SPAN("tree_build");
@@ -381,7 +402,8 @@ StepReport Simulation::step_body(SdcStepStats* stats) {
         std::vector<std::pair<std::uint32_t, std::uint32_t>> active_pairs;
         {
           HACC_TRACE_SPAN("pairs_build");
-          const auto pairs = mesh_all.interaction_pairs(pm_.split().cutoff());
+          const auto pairs = mesh_all.interaction_pairs(
+              pair_radius(mesh_all, pm_.split().cutoff()));
           active_pairs = filter_active_pairs(mesh_all, pairs, active);
         }
         if (lb.is_donor()) {
@@ -409,8 +431,9 @@ StepReport Simulation::step_body(SdcStepStats* stats) {
         std::vector<std::pair<std::uint32_t, std::uint32_t>> active_pairs;
         {
           HACC_TRACE_SPAN("pairs_build");
-          const auto pairs = mesh_gas.interaction_pairs(
-              sph::SphSolver::interaction_radius(particles_, mesh_gas));
+          const auto pairs = mesh_gas.interaction_pairs(pair_radius(
+              mesh_gas,
+              sph::SphSolver::interaction_radius(particles_, mesh_gas)));
           active_pairs = filter_active_pairs(mesh_gas, pairs, active);
         }
         sph_.compute_forces(particles_, mesh_gas, a_sub_mid, active.data(),
@@ -436,13 +459,18 @@ StepReport Simulation::step_body(SdcStepStats* stats) {
         sph_.update_smoothing_lengths(particles_, active.data());
       }
 
-      // All particles drift at the fine cadence.
+      // All particles drift at the fine cadence. A one-rank world keeps
+      // positions unwrapped until the step ends: a member wrapped across
+      // the box edge would stretch its leaf's AABB across the periodic
+      // mesh and multiply that leaf's images.
       {
         HACC_TRACE_SPAN("drift");
-        kdk_.drift(particles_, a_s, a_s + da_fine, config_.box, nullptr);
+        kdk_.drift(particles_, a_s, a_s + da_fine,
+                   decomp_.self_periodic() ? 0.0 : config_.box, nullptr);
       }
     }
   }
+  if (decomp_.self_periodic()) integrator::wrap_owned(particles_, config_.box);
 
   // Serve the remaining substeps of donors that sub-cycle deeper than
   // this rank (their requests are already queued; recv order is FIFO
@@ -639,16 +667,22 @@ AnalysisResult Simulation::run_analysis() {
   util::TraceRecorder::Context trace_ctx(&trace_);
   HACC_TRACE_SPAN("analysis");
 
-  // FOF halo finding over the rank-local (overloaded) particle cloud.
+  // FOF halo finding over the rank-local (overloaded) particle cloud. A
+  // one-rank world evolves no replicas, so its cloud is built here, by
+  // the exchange's overload rule, and dropped after the analysis.
+  Particles replicas;
+  if (decomp_.self_periodic()) {
+    replicas = analysis_replica_cloud(decomp_, particles_, overload_);
+  }
+  const Particles& cloud = decomp_.self_periodic() ? replicas : particles_;
   const std::size_t species_count = config_.hydro ? 2 : 1;
   const std::size_t n_global =
       config_.np * config_.np * config_.np * species_count;
   const double ll = analysis::fof_linking_length(config_.box, n_global, 0.2);
-  const auto groups =
-      analysis::fof(particles_.x, particles_.y, particles_.z,
-                    static_cast<float>(ll), /*min_members=*/8);
+  const auto groups = analysis::fof(cloud.x, cloud.y, cloud.z,
+                                    static_cast<float>(ll), /*min_members=*/8);
   const auto owned_box = decomp_.local_box(comm_.rank());
-  result.local_halos = analysis::halo_catalog(particles_, groups, &owned_box);
+  result.local_halos = analysis::halo_catalog(cloud, groups, &owned_box);
 
   // Survey-facing SO masses for the most massive local halos.
   {
@@ -659,7 +693,7 @@ AnalysisResult Simulation::run_analysis() {
         result.local_halos.begin(),
         result.local_halos.begin() +
             std::min<std::size_t>(result.local_halos.size(), 16));
-    result.so_halos = analysis::so_masses(particles_, seeds, so_config);
+    result.so_halos = analysis::so_masses(cloud, seeds, so_config);
   }
 
   // Galaxies from the stellar component.
@@ -667,7 +701,7 @@ AnalysisResult Simulation::run_analysis() {
     analysis::GalaxyFinderConfig galaxy_config;
     galaxy_config.linking_length = static_cast<float>(
         0.1 * config_.box / static_cast<double>(config_.np));
-    result.galaxies = analysis::find_galaxies(particles_, galaxy_config);
+    result.galaxies = analysis::find_galaxies(cloud, galaxy_config);
     result.galaxy_count = comm_.allreduce_scalar(
         static_cast<std::int64_t>(result.galaxies.size()),
         comm::ReduceOp::kSum);

@@ -8,6 +8,11 @@
 //   CRKSPH hydro, subgrid sources; leaf AABBs refit, only active bins
 //   updated) -> in situ analysis -> multi-tier checkpoint I/O.
 //
+// A one-rank world (comm::CartDecomposition::self_periodic) overloads
+// nothing: its chaining meshes wrap periodically (tree/chaining_mesh.h),
+// positions stay unwrapped until the step ends, and in situ analysis
+// builds its replica cloud when it runs (core/exchange.h).
+//
 // Wall-clock is accounted into the paper's Fig. 5 timer taxonomy
 // (long_range / tree_build / short_range / analysis / io / misc), and all
 // kernel FLOPs into a FlopRegistry for the Fig. 6 utilization analysis.
@@ -317,6 +322,9 @@ class Simulation {
   double a_at_step(std::uint64_t s) const;
 
  private:
+  /// Unbuilt chaining mesh for this rank's short-range work: periodic
+  /// over the box in a one-rank world, over the overloaded box otherwise.
+  tree::ChainingMesh make_mesh() const;
   void prime_solver_state();
   int assign_timestep_bins(double dt_pm);
   /// The actual PM step (phases 1-5), checkpoint excluded so the

@@ -8,15 +8,17 @@ namespace crkhacc::gpu {
 LaunchPlan::LaunchPlan(const tree::ChainingMesh& cm,
                        std::span<const Pair> pairs) {
   const std::size_t nleaves = cm.num_leaves();
+  const std::size_t nids = cm.num_leaf_ids();
 
   // Pass 1: entries per leaf. A self pair is one both-sides entry on its
-  // owner; a cross pair is one entry on each owner.
+  // owner; a cross pair is one entry on each owner — on a periodic mesh
+  // the second owner is the image partner's base leaf.
   std::vector<std::uint32_t> count(nleaves, 0);
   for (const auto& [la, lb] : pairs) {
-    CHECK_MSG(la <= lb && lb < nleaves,
+    CHECK_MSG(la < nleaves && lb < nids && la <= cm.base_leaf(lb),
               "interaction pair is not (i <= j) within the mesh");
     ++count[la];
-    if (lb != la) ++count[lb];
+    if (lb != la) ++count[cm.base_leaf(lb)];
   }
 
   // CSR offsets over ALL leaves (zero-count leaves collapse to empty
@@ -29,14 +31,16 @@ LaunchPlan::LaunchPlan(const tree::ChainingMesh& cm,
 
   // Pass 2: scatter in pair order. Cursors advance monotonically, so each
   // owner's entries end up ordered by the pair index they came from —
-  // the invariant the bitwise-determinism argument rests on.
+  // the invariant the bitwise-determinism argument rests on. The j-side
+  // entry of (A, B + s) sits on B with partner A - s (cm.mirror).
   std::vector<std::uint32_t> cursor(offset.begin(), offset.end() - 1);
   for (const auto& [la, lb] : pairs) {
     if (la == lb) {
       entries_[cursor[la]++] = Entry{lb, Side::kBoth};
     } else {
       entries_[cursor[la]++] = Entry{lb, Side::kISide};
-      entries_[cursor[lb]++] = Entry{la, Side::kJSide};
+      entries_[cursor[cm.base_leaf(lb)]++] =
+          Entry{cm.mirror(la, lb), Side::kJSide};
     }
   }
 

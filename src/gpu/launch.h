@@ -16,6 +16,13 @@
 // parallel results are bitwise identical to serial, with nothing
 // buffered.
 //
+// Image partners (periodic meshes, tree/chaining_mesh.h): a pair
+// (A, B + s) names B through a virtual leaf id. A gets an i-side entry
+// whose partner is B + s; B gets a j-side entry whose partner is the
+// mirror A - s. Forces therefore land only on real particles, and the
+// tile drivers add the shift to the partner's positions at fill time.
+// A self-image pair (A, A + s) puts both entries on A.
+//
 // The tile engine the owner tasks run follows from the config and the
 // build, not from a user choice (LaunchConfig::vector_tiles()):
 //
@@ -135,14 +142,15 @@ class LaunchPlan {
   };
 
   struct Entry {
-    std::uint32_t partner = 0;
+    std::uint32_t partner = 0;  ///< leaf id: an image id on periodic meshes
     Side side = Side::kBoth;
   };
 
   LaunchPlan() = default;
 
-  /// Pairs must satisfy first <= second with both < cm.num_leaves() (as
-  /// produced by ChainingMesh::interaction_pairs).
+  /// Pairs must satisfy first <= base_leaf(second), with first a real
+  /// leaf and second any leaf id of the mesh (as produced by
+  /// ChainingMesh::interaction_pairs).
   LaunchPlan(const tree::ChainingMesh& cm, std::span<const Pair> pairs);
 
   /// Rebuild a plan from pre-extracted owner-task CSRs — the receive

@@ -60,6 +60,14 @@
 // is unchanged from the both-sides tile (same rotation order, same
 // operand values — load/partial are pure).
 //
+// Image partners (periodic meshes): an entry's partner may be a virtual
+// leaf id (tree::ChainingMesh::resolve). Every fill of the partner's
+// lanes — scalar LaneFile, vector SimdLaneBuffer, naive per-pair loads —
+// adds the image shift to the loaded State's x, y, z (every kernel
+// State starts with these three fields) before partial() runs. Owner
+// lanes and zero-shift partners are filled without an add, so launches
+// over non-periodic meshes keep their bits.
+//
 // The tile ENGINE, not the decomposition, follows the build and config:
 // kernels with the SimdPairKernel surface take the vector tiles of
 // gpu/warp_simd.h whenever LaunchConfig::vector_tiles() holds, all other
@@ -94,12 +102,13 @@ namespace crkhacc::gpu {
 
 namespace detail {
 
-/// Naive side pass: accumulate contributions of leaf B onto every
-/// particle of leaf A, reloading and recomputing per pair.
+/// Naive side pass: accumulate contributions of leaf B (at image shift
+/// `shift_b`, nullable) onto every particle of leaf A, reloading and
+/// recomputing per pair.
 template <typename Kernel>
 void naive_side(Kernel& kernel, const tree::ChainingMesh& cm,
-                const tree::Leaf& a, const tree::Leaf& b, bool same_leaf,
-                LaunchStats& stats) {
+                const tree::Leaf& a, const tree::Leaf& b, const float* shift_b,
+                bool same_leaf, LaunchStats& stats) {
   const std::uint32_t* perm = cm.permutation().data();
   for (std::uint32_t s = a.begin; s < a.end; ++s) {
     const std::uint32_t i = perm[s];
@@ -109,7 +118,8 @@ void naive_side(Kernel& kernel, const tree::ChainingMesh& cm,
     for (std::uint32_t t = b.begin; t < b.end; ++t) {
       if (same_leaf && t == s) continue;
       const std::uint32_t j = perm[t];
-      const auto sj = kernel.load(j);
+      auto sj = kernel.load(j);
+      shift_state(sj, shift_b);
       ++stats.global_loads;
       // Redundant recomputation of both partials — the cost warp
       // splitting removes.
@@ -140,11 +150,12 @@ struct LaneFile {
   std::uint32_t n = 0;
 
   void fill(const Kernel& kernel, const std::uint32_t* indices,
-            std::uint32_t count, LaunchStats& stats) {
+            std::uint32_t count, const float* shift, LaunchStats& stats) {
     idx = indices;
     n = count;
     for (std::uint32_t l = 0; l < count; ++l) {
       s[l] = kernel.load(indices[l]);
+      shift_state(s[l], shift);
       p[l] = kernel.partial(s[l]);
     }
     stats.global_loads += count;
@@ -240,9 +251,9 @@ void warp_split_pair(Kernel& kernel, const tree::ChainingMesh& cm,
 
   LaneFile<Kernel> fi, fj;
   for (std::uint32_t ci = a.begin; ci < a.end; ci += w) {
-    fi.fill(kernel, perm + ci, std::min(w, a.end - ci), stats);
+    fi.fill(kernel, perm + ci, std::min(w, a.end - ci), nullptr, stats);
     for (std::uint32_t cj = ci; cj < a.end; cj += w) {
-      fj.fill(kernel, perm + cj, std::min(w, a.end - cj), stats);
+      fj.fill(kernel, perm + cj, std::min(w, a.end - cj), nullptr, stats);
       warp_tile<TileSide::kBoth>(kernel, fi, fj, w, ci == cj, stats);
     }
   }
@@ -253,12 +264,14 @@ void warp_split_pair(Kernel& kernel, const tree::ChainingMesh& cm,
 /// its lane file hoisted; for kJ that transposes the both-sides (ci, cj)
 /// visit order, which is safe because the reordered tiles store to
 /// DIFFERENT owner chunks (disjoint particles) while each owner chunk
-/// still sees its partner tiles in ascending ci order.
+/// still sees its partner tiles in ascending ci order. `partner_shift`
+/// (nullable) is the image shift of the non-owner leaf: leaf_b for kI,
+/// leaf_a for kJ.
 template <typename Kernel>
 void warp_split_pair_sided(Kernel& kernel, const tree::ChainingMesh& cm,
                            std::uint32_t leaf_a, std::uint32_t leaf_b,
-                           std::uint32_t warp_size, TileSide side,
-                           LaunchStats& stats) {
+                           const float* partner_shift, std::uint32_t warp_size,
+                           TileSide side, LaunchStats& stats) {
   const tree::Leaf& a = cm.leaf(leaf_a);
   const tree::Leaf& b = cm.leaf(leaf_b);
   const std::uint32_t* perm = cm.permutation().data();
@@ -267,18 +280,20 @@ void warp_split_pair_sided(Kernel& kernel, const tree::ChainingMesh& cm,
   LaneFile<Kernel> fi, fj;
   if (side == TileSide::kI) {
     for (std::uint32_t ci = a.begin; ci < a.end; ci += w) {
-      fi.fill(kernel, perm + ci, std::min(w, a.end - ci), stats);
+      fi.fill(kernel, perm + ci, std::min(w, a.end - ci), nullptr, stats);
       for (std::uint32_t cj = b.begin; cj < b.end; cj += w) {
-        fj.fill(kernel, perm + cj, std::min(w, b.end - cj), stats);
+        fj.fill(kernel, perm + cj, std::min(w, b.end - cj), partner_shift,
+                stats);
         warp_tile<TileSide::kI>(kernel, fi, fj, w, /*same_chunk=*/false,
                                 stats);
       }
     }
   } else {
     for (std::uint32_t cj = b.begin; cj < b.end; cj += w) {
-      fj.fill(kernel, perm + cj, std::min(w, b.end - cj), stats);
+      fj.fill(kernel, perm + cj, std::min(w, b.end - cj), nullptr, stats);
       for (std::uint32_t ci = a.begin; ci < a.end; ci += w) {
-        fi.fill(kernel, perm + ci, std::min(w, a.end - ci), stats);
+        fi.fill(kernel, perm + ci, std::min(w, a.end - ci), partner_shift,
+                stats);
         warp_tile<TileSide::kJ>(kernel, fi, fj, w, /*same_chunk=*/false,
                                 stats);
       }
@@ -290,15 +305,19 @@ void warp_split_pair_sided(Kernel& kernel, const tree::ChainingMesh& cm,
 /// that owner's particles, in pair order. Kernels with a SIMD form take
 /// the vector tile engine when config.vector_tiles() holds; everything
 /// else runs the scalar tiles — the same bits either way under kExact.
+/// An image partner is resolved to its base leaf plus the shift its
+/// lane fills add.
 template <typename Kernel>
 void run_owner_entries(Kernel& kernel, const tree::ChainingMesh& cm,
                        const LaunchPlan& plan, std::size_t t,
                        const LaunchConfig& config, LaunchStats& stats) {
   const std::uint32_t owner = plan.owner(t);
   for (const LaunchPlan::Entry& e : plan.entries(t)) {
+    const tree::LeafImage partner = cm.resolve(e.partner);
+    const float* shift = partner.shift_or_null();
     if (config.mode == LaunchMode::kNaive) {
       // naive_side is already one-sided: accumulate partner onto owner.
-      naive_side(kernel, cm, cm.leaf(owner), cm.leaf(e.partner),
+      naive_side(kernel, cm, cm.leaf(owner), cm.leaf(partner.leaf), shift,
                  e.side == LaunchPlan::Side::kBoth, stats);
       continue;
     }
@@ -310,11 +329,11 @@ void run_owner_entries(Kernel& kernel, const tree::ChainingMesh& cm,
             simd_pair(kernel, cm, owner, config, stats);
             break;
           case LaunchPlan::Side::kISide:
-            simd_pair_sided(kernel, cm, owner, e.partner, config,
+            simd_pair_sided(kernel, cm, owner, partner.leaf, shift, config,
                             TileSide::kI, stats);
             break;
           case LaunchPlan::Side::kJSide:
-            simd_pair_sided(kernel, cm, e.partner, owner, config,
+            simd_pair_sided(kernel, cm, partner.leaf, owner, shift, config,
                             TileSide::kJ, stats);
             break;
         }
@@ -326,12 +345,12 @@ void run_owner_entries(Kernel& kernel, const tree::ChainingMesh& cm,
         warp_split_pair(kernel, cm, owner, config.warp_size, stats);
         break;
       case LaunchPlan::Side::kISide:
-        warp_split_pair_sided(kernel, cm, owner, e.partner, config.warp_size,
-                              TileSide::kI, stats);
+        warp_split_pair_sided(kernel, cm, owner, partner.leaf, shift,
+                              config.warp_size, TileSide::kI, stats);
         break;
       case LaunchPlan::Side::kJSide:
-        warp_split_pair_sided(kernel, cm, e.partner, owner, config.warp_size,
-                              TileSide::kJ, stats);
+        warp_split_pair_sided(kernel, cm, partner.leaf, owner, shift,
+                              config.warp_size, TileSide::kJ, stats);
         break;
     }
   }

@@ -27,6 +27,11 @@
 //    kBoth / kI / kJ with a direction flag; per-accumulator operand
 //    sequences are unchanged from the scalar specializations.
 //
+//  * Image partners (periodic meshes): SimdLaneBuffer::fill adds the
+//    partner's image shift to each loaded State's x, y, z exactly as the
+//    scalar LaneFile does (shift_state, below), so both engines see the
+//    same operand bits.
+//
 // Kernels opt in by defining SimdLanes / SimdAccum / interact_simd (see
 // the SimdPairKernel concept) and run here whenever
 // LaunchConfig::vector_tiles() holds; others always run scalar tiles.
@@ -42,6 +47,23 @@
 #include "tree/chaining_mesh.h"
 
 namespace crkhacc::gpu::detail {
+
+/// Move a loaded particle State to its periodic image: add the image
+/// shift (nullable = no shift, no add) to the leading x, y, z fields
+/// every kernel State carries. Runs before partial(), so separable terms
+/// see the image position.
+template <typename State>
+inline void shift_state(State& s, const float* shift) {
+  static_assert(requires(State st) {
+    { st.x } -> std::same_as<float&>;
+    { st.y } -> std::same_as<float&>;
+    { st.z } -> std::same_as<float&>;
+  }, "kernel State must start with float x, y, z (image shifts)");
+  if (shift == nullptr) return;
+  s.x += shift[0];
+  s.y += shift[1];
+  s.z += shift[2];
+}
 
 /// Which accumulator half of a tile is live. kBoth is the symmetric
 /// evaluation of a self pair's tiles; kI / kJ are the one-sided halves
@@ -75,7 +97,8 @@ struct SimdLaneBuffer {
   std::uint32_t n = 0;
 
   void fill(const Kernel& kernel, const std::uint32_t* indices,
-            std::uint32_t count, std::uint32_t w, LaunchStats& stats) {
+            std::uint32_t count, std::uint32_t w, const float* shift,
+            LaunchStats& stats) {
     idx = indices;
     n = count;
     const float on = simd::mask_on();
@@ -84,7 +107,8 @@ struct SimdLaneBuffer {
     // register traffic, not repeated gathers.
     for (std::uint32_t u = 0; u < w; ++u) {
       if (u < count) {
-        const auto s = kernel.load(indices[u]);
+        auto s = kernel.load(indices[u]);
+        shift_state(s, shift);
         const auto p = kernel.partial(s);
         lanes.set(u, s, p);
         live[u] = on;
@@ -166,9 +190,9 @@ void simd_warp_split_pair(Kernel& kernel, const tree::ChainingMesh& cm,
 
   SimdLaneBuffer<Kernel> bi, bj;
   for (std::uint32_t ci = a.begin; ci < a.end; ci += w) {
-    bi.fill(kernel, perm + ci, std::min(w, a.end - ci), w, stats);
+    bi.fill(kernel, perm + ci, std::min(w, a.end - ci), w, nullptr, stats);
     for (std::uint32_t cj = ci; cj < a.end; cj += w) {
-      bj.fill(kernel, perm + cj, std::min(w, a.end - cj), w, stats);
+      bj.fill(kernel, perm + cj, std::min(w, a.end - cj), w, nullptr, stats);
       simd_warp_tile_both<Math>(kernel, bi, bj, w, ci == cj, stats);
     }
   }
@@ -176,10 +200,12 @@ void simd_warp_split_pair(Kernel& kernel, const tree::ChainingMesh& cm,
 
 /// One-sided vector evaluation of cross pair (leaf_a, leaf_b): only the
 /// `side` accumulators run. Chunk-loop structure (owner outermost, lane
-/// buffer hoisted) identical to warp_split_pair_sided.
+/// buffer hoisted) and the partner's image shift (leaf_b for kI, leaf_a
+/// for kJ; nullable) as in warp_split_pair_sided.
 template <typename Math, typename Kernel>
 void simd_warp_split_pair_sided(Kernel& kernel, const tree::ChainingMesh& cm,
                                 std::uint32_t leaf_a, std::uint32_t leaf_b,
+                                const float* partner_shift,
                                 std::uint32_t warp_size, TileSide side,
                                 LaunchStats& stats) {
   const tree::Leaf& a = cm.leaf(leaf_a);
@@ -190,18 +216,20 @@ void simd_warp_split_pair_sided(Kernel& kernel, const tree::ChainingMesh& cm,
   SimdLaneBuffer<Kernel> bi, bj;
   if (side == TileSide::kI) {
     for (std::uint32_t ci = a.begin; ci < a.end; ci += w) {
-      bi.fill(kernel, perm + ci, std::min(w, a.end - ci), w, stats);
+      bi.fill(kernel, perm + ci, std::min(w, a.end - ci), w, nullptr, stats);
       for (std::uint32_t cj = b.begin; cj < b.end; cj += w) {
-        bj.fill(kernel, perm + cj, std::min(w, b.end - cj), w, stats);
+        bj.fill(kernel, perm + cj, std::min(w, b.end - cj), w, partner_shift,
+                stats);
         simd_accum_rows<Math>(kernel, bi, bj, w, /*backward=*/false,
                               /*skip_diagonal=*/false, stats);
       }
     }
   } else {
     for (std::uint32_t cj = b.begin; cj < b.end; cj += w) {
-      bj.fill(kernel, perm + cj, std::min(w, b.end - cj), w, stats);
+      bj.fill(kernel, perm + cj, std::min(w, b.end - cj), w, nullptr, stats);
       for (std::uint32_t ci = a.begin; ci < a.end; ci += w) {
-        bi.fill(kernel, perm + ci, std::min(w, a.end - ci), w, stats);
+        bi.fill(kernel, perm + ci, std::min(w, a.end - ci), w, partner_shift,
+                stats);
         simd_accum_rows<Math>(kernel, bj, bi, w, /*backward=*/true,
                               /*skip_diagonal=*/false, stats);
       }
@@ -227,14 +255,16 @@ void simd_pair(Kernel& kernel, const tree::ChainingMesh& cm,
 template <typename Kernel>
 void simd_pair_sided(Kernel& kernel, const tree::ChainingMesh& cm,
                      std::uint32_t leaf_a, std::uint32_t leaf_b,
-                     const LaunchConfig& config, TileSide side,
-                     LaunchStats& stats) {
+                     const float* partner_shift, const LaunchConfig& config,
+                     TileSide side, LaunchStats& stats) {
   if (config.simd_math == SimdMath::kFused) {
-    simd_warp_split_pair_sided<simd::FusedMath>(kernel, cm, leaf_a, leaf_b,
-                                                config.warp_size, side, stats);
+    simd_warp_split_pair_sided<simd::FusedMath>(
+        kernel, cm, leaf_a, leaf_b, partner_shift, config.warp_size, side,
+        stats);
   } else {
-    simd_warp_split_pair_sided<simd::ExactMath>(kernel, cm, leaf_a, leaf_b,
-                                                config.warp_size, side, stats);
+    simd_warp_split_pair_sided<simd::ExactMath>(
+        kernel, cm, leaf_a, leaf_b, partner_shift, config.warp_size, side,
+        stats);
   }
 }
 

@@ -167,9 +167,17 @@ SubgridStats SubgridModel::apply(Particles& particles,
       const double r2_excl =
           config_.agn.seed_exclusion * config_.agn.seed_exclusion;
       for (std::size_t b : black_holes) {
-        const double dx = static_cast<double>(particles.x[i]) - particles.x[b];
-        const double dy = static_cast<double>(particles.y[i]) - particles.y[b];
-        const double dz = static_cast<double>(particles.z[i]) - particles.z[b];
+        // Minimum image on a periodic mesh (one-rank worlds hold no
+        // ghost copy of a hole across the box edge).
+        const auto sep = [&](float pi, float pb, int d) {
+          double v = static_cast<double>(pi) - pb;
+          const double period = gas_mesh.period(d);
+          if (period > 0.0) v -= period * std::round(v / period);
+          return v;
+        };
+        const double dx = sep(particles.x[i], particles.x[b], 0);
+        const double dy = sep(particles.y[i], particles.y[b], 1);
+        const double dz = sep(particles.z[i], particles.z[b], 2);
         if (dx * dx + dy * dy + dz * dz < r2_excl) {
           excluded = true;
           break;

@@ -2,12 +2,38 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 
 #include "util/assertions.h"
 #include "util/trace.h"
 
 namespace crkhacc::tree {
+namespace {
+
+// Image codes number the 125 shifts k in {-2, ..., 2}^3 so that code 0
+// is the zero shift (real leaves keep their own ids): code = (raw + 63)
+// mod 125 with raw = (kx + 2) + 5 (ky + 2) + 25 (kz + 2), and raw(0) = 62.
+constexpr int kMaxPeriods = 2;
+constexpr int kSpan = 2 * kMaxPeriods + 1;
+constexpr int kZeroRaw = (kSpan * kSpan * kSpan) / 2;
+
+std::uint32_t code_of_periods(const std::array<int, 3>& k) {
+  HACC_ASSERT(std::abs(k[0]) <= kMaxPeriods && std::abs(k[1]) <= kMaxPeriods &&
+              std::abs(k[2]) <= kMaxPeriods);
+  const int raw = (k[0] + kMaxPeriods) + kSpan * (k[1] + kMaxPeriods) +
+                  kSpan * kSpan * (k[2] + kMaxPeriods);
+  return static_cast<std::uint32_t>((raw + ChainingMesh::kImages - kZeroRaw) %
+                                    ChainingMesh::kImages);
+}
+
+std::array<int, 3> periods_of_code(std::uint32_t code) {
+  const int raw = static_cast<int>((code + kZeroRaw) % ChainingMesh::kImages);
+  return {raw % kSpan - kMaxPeriods, (raw / kSpan) % kSpan - kMaxPeriods,
+          raw / (kSpan * kSpan) - kMaxPeriods};
+}
+
+}  // namespace
 
 ChainingMesh::ChainingMesh(const comm::Box3& domain,
                            const ChainingMeshConfig& config)
@@ -19,10 +45,70 @@ ChainingMesh::ChainingMesh(const comm::Box3& domain,
     CHECK(extent > 0.0);
     dims_[d] = std::max(1, static_cast<int>(extent / config.bin_width));
     width_[d] = extent / dims_[d];
+    if (config.periodic) period_[d] = extent;
+  }
+  for (std::uint32_t code = 0; code < kImages; ++code) {
+    const auto k = periods_of_code(code);
+    for (int d = 0; d < 3; ++d) {
+      image_shift_[code][d] = static_cast<float>(k[d] * period_[d]);
+    }
   }
 }
 
-std::size_t ChainingMesh::bin_of_position(float x, float y, float z) const {
+std::uint32_t ChainingMesh::image_id(std::uint32_t leaf,
+                                     const std::array<int, 3>& k) const {
+  HACC_ASSERT(periodic() || (k[0] == 0 && k[1] == 0 && k[2] == 0));
+  return code_of_periods(k) * static_cast<std::uint32_t>(leaves_.size()) +
+         leaf;
+}
+
+std::array<int, 3> ChainingMesh::image_periods(std::uint32_t id) const {
+  if (id < leaves_.size()) return {0, 0, 0};
+  return periods_of_code(static_cast<std::uint32_t>(id / leaves_.size()));
+}
+
+int ChainingMesh::stencil(int c, int d, int out[3]) const {
+  int n = 0;
+  for (int dd = -1; dd <= 1; ++dd) {
+    int v = c + dd;
+    if (periodic()) {
+      v = (v % dims_[d] + dims_[d]) % dims_[d];
+      // Fewer than three cells per period: the stencil wraps onto
+      // itself, and each cell must be visited once.
+      if (std::find(out, out + n, v) != out + n) continue;
+    } else if (v < 0 || v >= dims_[d]) {
+      continue;
+    }
+    out[n++] = v;
+  }
+  return n;
+}
+
+void ChainingMesh::image_range(double me_lo, double me_hi, double lo,
+                               double hi, double radius, int d, int& k_lo,
+                               int& k_hi) const {
+  // [lo + kP, hi + kP] is within radius of [me_lo, me_hi] only if
+  // me_lo - hi - radius <= kP <= me_hi - lo + radius. Rounded outwards;
+  // callers apply the exact gap test per image.
+  // Clamped in floating point before the int cast, so a non-finite box
+  // (a corrupted position the SDC audit has yet to catch) gets the full
+  // range instead of undefined behaviour.
+  const double p = period_[d];
+  const double a = std::floor((me_lo - hi - radius) / p);
+  const double b = std::ceil((me_hi - lo + radius) / p);
+  constexpr double m = kMaxPeriods;
+  k_lo = a >= -m ? (a <= m ? static_cast<int>(a) : kMaxPeriods) : -kMaxPeriods;
+  k_hi = b <= m ? (b >= -m ? static_cast<int>(b) : -kMaxPeriods) : kMaxPeriods;
+}
+
+void ChainingMesh::check_reach(double radius) const {
+  CHECK_MSG(radius <= min_bin_width(),
+            "periodic chaining mesh: query radius exceeds the smallest bin "
+            "width, so the 27-bin stencil cannot reach every neighbor");
+}
+
+std::size_t ChainingMesh::bin_of_position(float x, float y, float z,
+                                          bool wrap) const {
   const double p[3] = {static_cast<double>(x), static_cast<double>(y),
                        static_cast<double>(z)};
   int c[3];
@@ -33,6 +119,10 @@ std::size_t ChainingMesh::bin_of_position(float x, float y, float z) const {
     // coordinate (e.g. a flipped exponent bit the SDC audit hasn't caught
     // yet) must land in a valid edge bin, not invoke float->int UB.
     double cell = (p[d] - domain_.lo[d]) / width_[d];
+    if (wrap && std::isfinite(cell)) {
+      cell = std::fmod(std::floor(cell), static_cast<double>(dims_[d]));
+      if (cell < 0.0) cell += dims_[d];
+    }
     if (!(cell > 0.0)) cell = 0.0;  // negatives and NaN both land here
     const double top = static_cast<double>(dims_[d] - 1);
     if (cell > top) cell = top;
@@ -120,6 +210,8 @@ void ChainingMesh::build(const Particles& particles,
     }
   }
   bin_leaf_begin_[nbins] = static_cast<std::uint32_t>(leaves_.size());
+  CHECK_MSG(!periodic() || leaves_.size() <= 0xFFFFFFFFull / kImages,
+            "periodic chaining mesh: too many leaves for 32-bit image ids");
   refit_bounds(particles, pool);
 }
 
@@ -203,27 +295,56 @@ double ChainingMesh::aabb_distance_sq(const Leaf& a, const Leaf& b) {
 
 std::vector<std::uint32_t> ChainingMesh::neighbor_leaves(std::size_t l,
                                                          double radius) const {
+  if (periodic()) check_reach(radius);
   const Leaf& me = leaves_[l];
   const std::uint32_t bin = leaf_bin_[l];
-  const int bx = static_cast<int>(bin % static_cast<std::uint32_t>(dims_[0]));
-  const int by = static_cast<int>((bin / dims_[0]) % static_cast<std::uint32_t>(dims_[1]));
-  const int bz = static_cast<int>(bin / (static_cast<std::uint32_t>(dims_[0]) * dims_[1]));
+  const int bc[3] = {
+      static_cast<int>(bin % static_cast<std::uint32_t>(dims_[0])),
+      static_cast<int>((bin / dims_[0]) % static_cast<std::uint32_t>(dims_[1])),
+      static_cast<int>(bin / (static_cast<std::uint32_t>(dims_[0]) * dims_[1]))};
+  int cells[3][3];
+  int ncells[3];
+  for (int d = 0; d < 3; ++d) ncells[d] = stencil(bc[d], d, cells[d]);
   const double r2 = radius * radius;
   std::vector<std::uint32_t> out;
-  for (int dz = -1; dz <= 1; ++dz) {
-    const int cz = bz + dz;
-    if (cz < 0 || cz >= dims_[2]) continue;
-    for (int dy = -1; dy <= 1; ++dy) {
-      const int cy = by + dy;
-      if (cy < 0 || cy >= dims_[1]) continue;
-      for (int dx = -1; dx <= 1; ++dx) {
-        const int cx = bx + dx;
-        if (cx < 0 || cx >= dims_[0]) continue;
+  for (int iz = 0; iz < ncells[2]; ++iz) {
+    for (int iy = 0; iy < ncells[1]; ++iy) {
+      for (int ix = 0; ix < ncells[0]; ++ix) {
         const std::size_t nb =
-            (static_cast<std::size_t>(cz) * dims_[1] + cy) * dims_[0] + cx;
+            (static_cast<std::size_t>(cells[2][iz]) * dims_[1] + cells[1][iy]) *
+                dims_[0] +
+            cells[0][ix];
         for (std::uint32_t m = bin_leaf_begin_[nb]; m < bin_leaf_begin_[nb + 1];
              ++m) {
-          if (aabb_distance_sq(me, leaves_[m]) <= r2) out.push_back(m);
+          const Leaf& other = leaves_[m];
+          if (!periodic()) {
+            if (aabb_distance_sq(me, other) <= r2) out.push_back(m);
+            continue;
+          }
+          // Images from the refit AABBs: the shifts under which the
+          // partner's box comes within reach, whatever bins its members
+          // started in.
+          int k_lo[3], k_hi[3];
+          for (int d = 0; d < 3; ++d) {
+            image_range(me.lo[d], me.hi[d], other.lo[d], other.hi[d], radius, d,
+                        k_lo[d], k_hi[d]);
+          }
+          for (int kz = k_lo[2]; kz <= k_hi[2]; ++kz) {
+            for (int ky = k_lo[1]; ky <= k_hi[1]; ++ky) {
+              for (int kx = k_lo[0]; kx <= k_hi[0]; ++kx) {
+                const int k[3] = {kx, ky, kz};
+                double d2 = 0.0;
+                for (int d = 0; d < 3; ++d) {
+                  const double s = k[d] * period_[d];
+                  const double gap = std::max(
+                      {0.0, static_cast<double>(me.lo[d]) - (other.hi[d] + s),
+                       (other.lo[d] + s) - static_cast<double>(me.hi[d])});
+                  d2 += gap * gap;
+                }
+                if (d2 <= r2) out.push_back(image_id(m, {kx, ky, kz}));
+              }
+            }
+          }
         }
       }
     }
@@ -233,10 +354,20 @@ std::vector<std::uint32_t> ChainingMesh::neighbor_leaves(std::size_t l,
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>>
 ChainingMesh::interaction_pairs(double radius) const {
+  if (periodic()) check_reach(radius);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
   for (std::size_t l = 0; l < leaves_.size(); ++l) {
-    for (std::uint32_t m : neighbor_leaves(l, radius)) {
-      if (m >= l) pairs.emplace_back(static_cast<std::uint32_t>(l), m);
+    for (std::uint32_t id : neighbor_leaves(l, radius)) {
+      const std::uint32_t m = base_leaf(id);
+      // Each unordered pair once: the lower base leaf owns it, and of a
+      // self-image pair {k, -k} only the lexicographically positive k
+      // (its mirror carries the other direction).
+      bool keep = m > l || id == l;
+      if (m == l && id != l) {
+        const auto k = image_periods(id);
+        keep = k[2] > 0 || (k[2] == 0 && (k[1] > 0 || (k[1] == 0 && k[0] > 0)));
+      }
+      if (keep) pairs.emplace_back(static_cast<std::uint32_t>(l), id);
     }
   }
   return pairs;

@@ -11,6 +11,22 @@
 // repartitioning at the cost of extra neighbor overlap. refit_bounds() is
 // a linear pass and is far cheaper than the force kernels it feeds.
 //
+// Periodic mode (ChainingMeshConfig::periodic, set in one-rank worlds —
+// comm::CartDecomposition::self_periodic): the domain is the periodic
+// box itself, with no overload shell, and the bin stencil wraps. A leaf
+// seen through a periodic image is named by a virtual leaf id:
+// image_id(leaf, k) = code(k) * num_leaves() + leaf for a shift of k
+// periods per dimension, k in {-2, ..., 2}^3, with code 0 the zero shift
+// — so ids below num_leaves() are the real leaves and pair lists keep
+// their (u32, u32) type. resolve() turns an id back into (base leaf,
+// position shift). Which images a leaf pair needs is decided from the
+// refit AABBs, not from bin indices, so coverage stays exact after
+// members drift or wrap across the box edge mid-step. Members may sit
+// up to half a box outside it (a one-rank Simulation wraps positions
+// only at the step end, so a member crossing the edge does not stretch
+// its leaf across the box); two periods per side then reach every
+// image within a radius of at most one bin width (<= the box).
+//
 // Builds accept an optional util::ThreadPool: binning and the per-bin k-d
 // subdivisions are independent across bins, so bins are built into
 // per-bin leaf lists concurrently and stitched in bin order on the
@@ -26,6 +42,7 @@
 
 #include "comm/decomposition.h"
 #include "core/particles.h"
+#include "util/assertions.h"
 #include "util/thread_pool.h"
 
 namespace crkhacc::tree {
@@ -42,12 +59,28 @@ struct Leaf {
 struct ChainingMeshConfig {
   double bin_width = 1.0;       ///< minimum CM bin width (>= force cutoff)
   std::uint32_t leaf_size = 64; ///< max particles per base leaf
+  /// Wrap the domain periodically (one-rank worlds): pair lists and
+  /// radius queries visit periodic images through virtual leaf ids.
+  bool periodic = false;
+};
+
+/// A (possibly virtual) leaf id resolved into its base leaf and the
+/// position shift of the image: partner positions are x + shift.
+struct LeafImage {
+  std::uint32_t leaf = 0;
+  std::array<float, 3> shift{0.f, 0.f, 0.f};
+  bool shifted = false;
+
+  /// The shift for a lane fill, or nullptr for the zero shift (a fill
+  /// with no shift does no add, so non-image loads keep their bits).
+  const float* shift_or_null() const { return shifted ? shift.data() : nullptr; }
 };
 
 class ChainingMesh {
  public:
-  /// Bins cover `domain` (the rank's overloaded box). Actual bin widths
-  /// are >= config.bin_width (the domain is divided evenly).
+  /// Bins cover `domain` (the rank's overloaded box, or the periodic box
+  /// itself in periodic mode). Actual bin widths are >= config.bin_width
+  /// (the domain is divided evenly) unless the domain is narrower.
   ChainingMesh(const comm::Box3& domain, const ChainingMeshConfig& config);
 
   /// Full build: bin particles, build per-bin k-d leaves, fit AABBs.
@@ -78,13 +111,66 @@ class ChainingMesh {
   const std::vector<std::uint32_t>& permutation() const { return perm_; }
 
   /// Leaves in the bin of leaf l and its 26 neighbor bins whose AABBs
-  /// come within `radius` of leaf l's AABB (includes l itself).
+  /// come within `radius` of leaf l's AABB (includes l itself). On a
+  /// periodic mesh: every image id whose shifted AABB comes within
+  /// `radius` (l itself, unshifted, included), with radius at most the
+  /// smallest bin width (checked).
   std::vector<std::uint32_t> neighbor_leaves(std::size_t l, double radius) const;
 
   /// All (i <= j) interacting leaf pairs within `radius`, for kernels that
-  /// process symmetric pair lists.
+  /// process symmetric pair lists. On a periodic mesh the second member
+  /// may be an image id: (A, B + k) with A < B, or A == B and k the
+  /// lexicographically positive one of a self-image pair {k, -k}. Every
+  /// (particle, particle, image) within `radius` is covered exactly once
+  /// by a pair and its mirror (see mirror()). Radius is checked against
+  /// the smallest bin width on periodic meshes.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> interaction_pairs(
       double radius) const;
+
+  bool periodic() const { return config_.periodic; }
+
+  /// Box extent along dimension d on a periodic mesh; 0 otherwise.
+  double period(int d) const { return period_[d]; }
+
+  /// Image shifts per dimension are -2 ... +2 periods: 125 images.
+  static constexpr std::uint32_t kImages = 125;
+
+  /// Leaf ids a pair list may name: num_leaves() real leaves, times
+  /// kImages on a periodic mesh. Ids are valid until the next build.
+  std::size_t num_leaf_ids() const {
+    return periodic() ? kImages * leaves_.size() : leaves_.size();
+  }
+
+  /// Virtual id of leaf `leaf` shifted by `k` periods (each in -2..2);
+  /// k = 0 is the leaf itself. Periodic meshes only.
+  std::uint32_t image_id(std::uint32_t leaf, const std::array<int, 3>& k) const;
+
+  /// Base leaf of a (possibly virtual) leaf id.
+  std::uint32_t base_leaf(std::uint32_t id) const {
+    return id < leaves_.size()
+               ? id
+               : static_cast<std::uint32_t>(id % leaves_.size());
+  }
+
+  /// Periods of shift of a leaf id (zero for real leaves).
+  std::array<int, 3> image_periods(std::uint32_t id) const;
+
+  /// Base leaf and position shift of a leaf id.
+  LeafImage resolve(std::uint32_t id) const {
+    if (id < leaves_.size()) return LeafImage{id, {0.f, 0.f, 0.f}, false};
+    const std::size_t code = id / leaves_.size();
+    return LeafImage{static_cast<std::uint32_t>(id % leaves_.size()),
+                     image_shift_[code], true};
+  }
+
+  /// The j-side partner of pair (a, id): leaf `a` as seen from
+  /// base_leaf(id), i.e. shifted by minus id's periods. (a, B + k) and
+  /// (B, a - k) describe the same particle pairs.
+  std::uint32_t mirror(std::uint32_t a, std::uint32_t id) const {
+    if (id < leaves_.size()) return a;
+    const auto k = image_periods(id);
+    return image_id(a, {-k[0], -k[1], -k[2]});
+  }
 
   const std::array<int, 3>& dims() const { return dims_; }
   std::size_t num_bins() const { return bin_leaf_begin_.size() - 1; }
@@ -106,7 +192,7 @@ class ChainingMesh {
   /// an adopted mesh must not be used.
   static ChainingMesh adopt(std::span<const std::uint32_t> leaf_begin);
 
-  /// Smallest bin width (radius limit for for_each_in_radius).
+  /// Smallest bin width (radius limit for neighbor queries).
   double min_bin_width() const {
     return *std::min_element(width_.begin(), width_.end());
   }
@@ -120,46 +206,76 @@ class ChainingMesh {
   /// Visit every indexed particle within `radius` of (x, y, z):
   /// visit(particle_index, distance_sq). Point queries are served from the
   /// bin of the position and its 26 neighbors, so radius must not exceed
-  /// the bin width (checked). Used by feedback injection and tests.
+  /// the bin width (CHECKed on periodic meshes, debug-asserted otherwise).
+  /// On a periodic mesh the distance is to each periodic image, so a
+  /// particle within `radius` at two images is visited twice. Used by
+  /// feedback injection and tests.
   template <typename Visitor>
   void for_each_in_radius(const Particles& particles, float x, float y,
                           float z, float radius, Visitor&& visit) const {
-    HACC_ASSERT(radius <= *std::min_element(width_.begin(), width_.end()));
+    if (periodic()) {
+      check_reach(radius);
+    } else {
+      HACC_ASSERT(radius <= min_bin_width());
+    }
     const float r2 = radius * radius;
-    const std::size_t bin = bin_of_position(x, y, z);
-    const int bx = static_cast<int>(bin % static_cast<std::size_t>(dims_[0]));
-    const int by = static_cast<int>((bin / dims_[0]) % static_cast<std::size_t>(dims_[1]));
-    const int bz = static_cast<int>(bin / (static_cast<std::size_t>(dims_[0]) * dims_[1]));
-    for (int dz = -1; dz <= 1; ++dz) {
-      const int cz = bz + dz;
-      if (cz < 0 || cz >= dims_[2]) continue;
-      for (int dy = -1; dy <= 1; ++dy) {
-        const int cy = by + dy;
-        if (cy < 0 || cy >= dims_[1]) continue;
-        for (int dx = -1; dx <= 1; ++dx) {
-          const int cx = bx + dx;
-          if (cx < 0 || cx >= dims_[0]) continue;
+    const float q[3] = {x, y, z};
+    const std::size_t bin = bin_of_position(x, y, z, /*wrap=*/periodic());
+    const int bc[3] = {
+        static_cast<int>(bin % static_cast<std::size_t>(dims_[0])),
+        static_cast<int>((bin / dims_[0]) % static_cast<std::size_t>(dims_[1])),
+        static_cast<int>(bin / (static_cast<std::size_t>(dims_[0]) * dims_[1]))};
+    int cells[3][3];
+    int ncells[3];
+    for (int d = 0; d < 3; ++d) ncells[d] = stencil(bc[d], d, cells[d]);
+    for (int iz = 0; iz < ncells[2]; ++iz) {
+      for (int iy = 0; iy < ncells[1]; ++iy) {
+        for (int ix = 0; ix < ncells[0]; ++ix) {
           const std::size_t nb =
-              (static_cast<std::size_t>(cz) * dims_[1] + cy) * dims_[0] + cx;
+              (static_cast<std::size_t>(cells[2][iz]) * dims_[1] +
+               cells[1][iy]) * dims_[0] + cells[0][ix];
           for (std::uint32_t l = bin_leaf_begin_[nb]; l < bin_leaf_begin_[nb + 1];
                ++l) {
             const Leaf& leaf = leaves_[l];
-            // Quick AABB-point rejection.
-            float gap2 = 0.f;
-            const float q[3] = {x, y, z};
-            for (int d = 0; d < 3; ++d) {
-              const float g =
-                  std::max({0.f, leaf.lo[d] - q[d], q[d] - leaf.hi[d]});
-              gap2 += g * g;
+            int k_lo[3] = {0, 0, 0}, k_hi[3] = {0, 0, 0};
+            if (periodic()) {
+              for (int d = 0; d < 3; ++d) {
+                image_range(q[d], q[d], leaf.lo[d], leaf.hi[d], radius, d,
+                            k_lo[d], k_hi[d]);
+              }
             }
-            if (gap2 > r2) continue;
-            for (std::uint32_t s = leaf.begin; s < leaf.end; ++s) {
-              const std::uint32_t i = perm_[s];
-              const float ddx = particles.x[i] - x;
-              const float ddy = particles.y[i] - y;
-              const float ddz = particles.z[i] - z;
-              const float d2 = ddx * ddx + ddy * ddy + ddz * ddz;
-              if (d2 <= r2) visit(i, d2);
+            for (int kz = k_lo[2]; kz <= k_hi[2]; ++kz) {
+              for (int ky = k_lo[1]; ky <= k_hi[1]; ++ky) {
+                for (int kx = k_lo[0]; kx <= k_hi[0]; ++kx) {
+                  const float s[3] = {static_cast<float>(kx * period_[0]),
+                                      static_cast<float>(ky * period_[1]),
+                                      static_cast<float>(kz * period_[2])};
+                  // Quick AABB-point rejection.
+                  float gap2 = 0.f;
+                  for (int d = 0; d < 3; ++d) {
+                    const float g = std::max(
+                        {0.f, leaf.lo[d] + s[d] - q[d], q[d] - leaf.hi[d] - s[d]});
+                    gap2 += g * g;
+                  }
+                  if (gap2 > r2) continue;
+                  const bool shifted = kx != 0 || ky != 0 || kz != 0;
+                  for (std::uint32_t t = leaf.begin; t < leaf.end; ++t) {
+                    const std::uint32_t i = perm_[t];
+                    float px = particles.x[i], py = particles.y[i],
+                          pz = particles.z[i];
+                    if (shifted) {
+                      px += s[0];
+                      py += s[1];
+                      pz += s[2];
+                    }
+                    const float ddx = px - x;
+                    const float ddy = py - y;
+                    const float ddz = pz - z;
+                    const float d2 = ddx * ddx + ddy * ddy + ddz * ddz;
+                    if (d2 <= r2) visit(i, d2);
+                  }
+                }
+              }
             }
           }
         }
@@ -173,7 +289,23 @@ class ChainingMesh {
   }
 
  private:
-  std::size_t bin_of_position(float x, float y, float z) const;
+  /// Bin of a position, clamped into the edge bins. `wrap` (periodic
+  /// point queries) first wraps the position onto its in-box image. Build
+  /// binning clamps on periodic meshes too: a member that drifted just
+  /// outside the box stays in the edge bin beside its neighbors, where
+  /// wrapping it would stretch its leaf's AABB across the box.
+  std::size_t bin_of_position(float x, float y, float z,
+                              bool wrap = false) const;
+  /// Distinct stencil cells of cell c along dimension d (c-1, c, c+1,
+  /// wrapped and de-duplicated on periodic meshes, clipped otherwise);
+  /// returns the count written to out.
+  int stencil(int c, int d, int out[3]) const;
+  /// Periods k (clamped to -2..2) for which [lo + k P, hi + k P] may come
+  /// within `radius` of [me_lo, me_hi] along dimension d.
+  void image_range(double me_lo, double me_hi, double lo, double hi,
+                   double radius, int d, int& k_lo, int& k_hi) const;
+  /// CHECK that a query radius is within the one-bin stencil's reach.
+  void check_reach(double radius) const;
   void split_leaf(const Particles& particles, std::uint32_t begin,
                   std::uint32_t end, std::vector<Leaf>& out);
   void fit_leaf(const Particles& particles, Leaf& leaf) const;
@@ -182,6 +314,9 @@ class ChainingMesh {
   ChainingMeshConfig config_;
   std::array<int, 3> dims_{1, 1, 1};
   std::array<double, 3> width_{1.0, 1.0, 1.0};
+  std::array<double, 3> period_{0.0, 0.0, 0.0};  ///< domain extent (periodic)
+  /// Position shift of each image code (code 0 = no shift).
+  std::array<std::array<float, 3>, kImages> image_shift_{};
 
   std::vector<std::uint32_t> perm_;
   std::vector<Leaf> leaves_;

@@ -82,7 +82,12 @@ TEST_P(ExchangeTest, GhostsLieInOverloadedShell) {
           << p.x[i] << "," << p.y[i] << "," << p.z[i];
       EXPECT_FALSE(inner.contains({p.x[i], p.y[i], p.z[i]}));
     }
-    EXPECT_GT(ghosts, 0u);
+    // A one-rank world evolves no self-images: its chaining mesh wraps.
+    if (decomp.self_periodic()) {
+      EXPECT_EQ(ghosts, 0u);
+    } else {
+      EXPECT_GT(ghosts, 0u);
+    }
   });
 }
 
@@ -114,7 +119,13 @@ TEST_P(ExchangeTest, GhostCoverageIsComplete) {
       if (decomp.owner_of(pos) != comm.rank()) continue;
       p.push_back(i, Species::kDarkMatter, c[0], c[1], c[2], 0, 0, 0, 1.0f);
     }
-    exchange_and_overload(comm, decomp, p, overload);
+    const auto stats = exchange_and_overload(comm, decomp, p, overload);
+    if (decomp.self_periodic()) {
+      // A one-rank world's replicas exist only for analysis: the
+      // exchange builds none, analysis_replica_cloud the complete set.
+      EXPECT_EQ(stats.ghosts, 0);
+      p = analysis_replica_cloud(decomp, p, overload);
+    }
 
     // Expected ghosts: image positions of non-owned global particles
     // inside my overloaded box.
@@ -147,28 +158,38 @@ TEST_P(ExchangeTest, GhostCoverageIsComplete) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, ExchangeTest, ::testing::Values(1, 2, 4, 8));
 
-TEST(Exchange, SingleRankGetsPeriodicSelfImages) {
+TEST(Exchange, SingleRankSelfImagesOnlyInAnalysisCloud) {
   comm::World world(1);
   world.run([](comm::Communicator& comm) {
     const comm::CartDecomposition decomp(1, 10.0);
+    ASSERT_TRUE(decomp.self_periodic());
     Particles p;
     // Particle near the low-x face.
     p.push_back(0, Species::kDarkMatter, 0.2f, 5.0f, 5.0f, 0, 0, 0, 1.0f);
     // Particle in the middle: no images needed.
     p.push_back(1, Species::kDarkMatter, 5.0f, 5.0f, 5.0f, 0, 0, 0, 1.0f);
+    // The exchange evolves no replicas in a one-rank world.
     const auto stats = exchange_and_overload(comm, decomp, p, 1.0);
     EXPECT_EQ(stats.owned, 2);
-    EXPECT_EQ(stats.ghosts, 1);
-    // The ghost is the unwrapped image at x ~ 10.2.
-    bool found = false;
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      if (p.is_owned(i)) continue;
-      EXPECT_EQ(p.id[i], 0u);
-      EXPECT_NEAR(p.x[i], 10.2f, 1e-4);
-      found = true;
-    }
-    EXPECT_TRUE(found);
+    EXPECT_EQ(stats.ghosts, 0);
+    ASSERT_EQ(p.size(), 2u);
+    // The analysis cloud carries the periodic self-image, the unwrapped
+    // image at x ~ 10.2, after the owned particles.
+    const Particles cloud = analysis_replica_cloud(decomp, p, 1.0);
+    ASSERT_EQ(cloud.size(), 3u);
+    EXPECT_TRUE(cloud.is_owned(0));
+    EXPECT_TRUE(cloud.is_owned(1));
+    EXPECT_FALSE(cloud.is_owned(2));
+    EXPECT_EQ(cloud.id[2], 0u);
+    EXPECT_NEAR(cloud.x[2], 10.2f, 1e-4);
   });
+}
+
+TEST(Exchange, SelfPeriodicOnlyForOneRankWorlds) {
+  for (const int ranks : {1, 2, 4, 8}) {
+    EXPECT_EQ(comm::CartDecomposition(ranks, 10.0).self_periodic(),
+              ranks == 1);
+  }
 }
 
 TEST(Exchange, StaleGhostsDroppedOnReexchange) {

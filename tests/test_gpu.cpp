@@ -293,6 +293,79 @@ TEST(SchedulerGeometry, SingleLeafSelfInteraction) {
   EXPECT_EQ(plan.entries(0)[0].side, LaunchPlan::Side::kBoth);
 }
 
+// --- periodic image partners ------------------------------------------------
+
+/// A periodic mesh whose pair list names image partners: two bins per
+/// side, so the stencil wraps and most cross pairs are images.
+struct PeriodicCase {
+  Particles p;
+  tree::ChainingMesh mesh;
+  PairList pairs;
+
+  PeriodicCase(std::size_t n, std::uint32_t leaf_size, std::uint64_t seed)
+      : p(random_particles(n, 4.0, seed)),
+        mesh(cube(4.0), {2.0, leaf_size, /*periodic=*/true}) {
+    mesh.build(p);
+    pairs = mesh.interaction_pairs(2.0);
+  }
+
+  std::size_t image_pairs() const {
+    std::size_t n = 0;
+    for (const auto& pair : pairs) n += pair.second >= mesh.num_leaves();
+    return n;
+  }
+};
+
+TEST_P(WarpDriverTest, PeriodicImagePartnersBitwiseAcrossThreads) {
+  const PeriodicCase c(300, 16, 101);
+  ASSERT_GT(c.image_pairs(), 0u);
+  expect_all_drivers_agree(c.p, c.mesh, c.pairs, GetParam());
+}
+
+TEST(SchedulerGeometry, PeriodicImagePartnersOnRaggedAndOddWarps) {
+  // Tiny leaves (every tile ragged) and non-power-of-two warps (scalar
+  // tiles) over image partners, self-image pairs included.
+  const PeriodicCase c(120, 4, 103);
+  ASSERT_GT(c.image_pairs(), 0u);
+  for (const std::uint32_t warp_size : {3u, 10u, 64u}) {
+    expect_all_drivers_agree(c.p, c.mesh, c.pairs, warp_size);
+  }
+}
+
+TEST(LaunchPlan, ImagePartnersGetMirroredJSideEntries) {
+  const PeriodicCase c(200, 16, 105);
+  ASSERT_GT(c.image_pairs(), 0u);
+  const LaunchPlan plan(c.mesh, c.pairs);
+  // (A, B + s): i-side on A with partner B + s, j-side on B with partner
+  // A - s, in pair order per owner.
+  std::vector<std::vector<LaunchPlan::Entry>> expected(c.mesh.num_leaves());
+  for (const auto& [la, lb] : c.pairs) {
+    if (la == lb) {
+      expected[la].push_back({lb, LaunchPlan::Side::kBoth});
+    } else {
+      expected[la].push_back({lb, LaunchPlan::Side::kISide});
+      expected[c.mesh.base_leaf(lb)].push_back(
+          {c.mesh.mirror(la, lb), LaunchPlan::Side::kJSide});
+    }
+  }
+  for (std::size_t t = 0; t < plan.num_owners(); ++t) {
+    const std::uint32_t owner = plan.owner(t);
+    const auto entries = plan.entries(t);
+    ASSERT_EQ(entries.size(), expected[owner].size()) << "owner " << owner;
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+      EXPECT_EQ(entries[e].partner, expected[owner][e].partner);
+      EXPECT_EQ(entries[e].side, expected[owner][e].side);
+      // Entries of an owner never name the owner's own unshifted leaf
+      // except as a both-sides self pair.
+      if (entries[e].side != LaunchPlan::Side::kBoth) {
+        EXPECT_NE(entries[e].partner, owner);
+      }
+    }
+    expected[owner].clear();
+  }
+  for (const auto& rest : expected) EXPECT_TRUE(rest.empty());
+}
+
 // --- launch plan -------------------------------------------------------------
 
 TEST(LaunchPlan, OwnerEntriesOrderedByPairIndex) {

@@ -237,6 +237,7 @@ class RotationOrderKernel {
   static constexpr float kFold = 1.0009765625f;  // 1 + 2^-10, exact
 
   struct State {
+    float x = 0.0f, y = 0.0f, z = 0.0f;  ///< unused; every State leads with them
     float tag = 0.0f;
   };
   struct Partial {
@@ -249,7 +250,7 @@ class RotationOrderKernel {
   RotationOrderKernel(const std::vector<float>& tags, std::vector<float>& out)
       : tags_(tags), out_(out) {}
 
-  State load(std::uint32_t i) const { return State{tags_[i]}; }
+  State load(std::uint32_t i) const { return State{0.0f, 0.0f, 0.0f, tags_[i]}; }
   Partial partial(const State& s) const { return Partial{s.tag}; }
   void interact(const State&, const Partial&, const State&,
                 const Partial& other_p, Accum& acc) const {
@@ -375,9 +376,11 @@ struct GasFixture {
   tree::ChainingMesh mesh;
   LaunchPlan plan;
 
+  /// `periodic`: a periodic mesh with 3-wide bins, whose pair list
+  /// (radius 3, above the 2.8 kernel support) names image partners.
   GasFixture(std::size_t n_per_dim, double box, std::uint32_t leaf_size,
-             std::uint64_t seed)
-      : mesh(cube(box), {2.0, leaf_size}) {
+             std::uint64_t seed, bool periodic = false)
+      : mesh(cube(box), {periodic ? 3.0 : 2.0, leaf_size, periodic}) {
     SplitMix64 rng(seed);
     const double cell = box / static_cast<double>(n_per_dim);
     std::uint64_t id = 0;
@@ -415,7 +418,7 @@ struct GasFixture {
       }
     }
     mesh.build(p);
-    plan = LaunchPlan(mesh, mesh.interaction_pairs(10.0));
+    plan = LaunchPlan(mesh, mesh.interaction_pairs(periodic ? 3.0 : 10.0));
   }
 };
 
@@ -581,6 +584,41 @@ TEST_P(SimdDifferentialTest, GravityBitwiseAcrossSchedules) {
         std::string("gravity ") + (s ? "split" : "newtonian") + " w" +
             std::to_string(warp));
   }
+}
+
+TEST_P(SimdDifferentialTest, PeriodicImagePartnersBitwiseAcrossSchedules) {
+  // Every production kernel over a periodic mesh, whose lane fills add
+  // image shifts to partner positions in both tile engines.
+  const std::uint32_t warp = GetParam();
+  GasFixture f(6, 6.0, 16, 56, /*periodic=*/true);
+  std::size_t images = 0;
+  for (std::size_t t = 0; t < f.plan.num_owners(); ++t) {
+    for (const auto& e : f.plan.entries(t)) {
+      images += e.partner >= f.mesh.num_leaves();
+    }
+  }
+  ASSERT_GT(images, 0u);
+  const std::string w = " w" + std::to_string(warp);
+  differential_sweep(
+      [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pool,
+          LaunchStats* s) { return run_density(f, t, c, pool, s); },
+      warp, "periodic density" + w);
+  differential_sweep(
+      [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pool,
+          LaunchStats* s) { return run_moments(f, t, c, pool, s); },
+      warp, "periodic moments" + w);
+  differential_sweep(
+      [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pool,
+          LaunchStats* s) { return run_momentum(f, t, c, pool, s); },
+      warp, "periodic momentum" + w);
+  const mesh::ForceSplit split(0.5);
+  const PairList pairs = f.mesh.interaction_pairs(1.9);
+  differential_sweep(
+      [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pool,
+          LaunchStats* st) {
+        return run_gravity(f.p, f.mesh, pairs, &split, t, c, pool, st);
+      },
+      warp, "periodic gravity split" + w);
 }
 
 INSTANTIATE_TEST_SUITE_P(WarpSizes, SimdDifferentialTest,

@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <map>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "core/particles.h"
 #include "tree/chaining_mesh.h"
@@ -185,6 +189,265 @@ TEST(ChainingMesh, ClampsStrayParticlesIntoEdgeBins) {
   ChainingMesh mesh(unit_box(10.0), {2.0, 16});
   mesh.build(p);  // must not crash; both particles land in edge bins
   EXPECT_EQ(mesh.num_particles(), 2u);
+}
+
+// --- periodic chaining mesh -------------------------------------------------
+
+comm::Box3 box_of(double lx, double ly, double lz) {
+  comm::Box3 box;
+  box.lo = {0.0, 0.0, 0.0};
+  box.hi = {lx, ly, lz};
+  return box;
+}
+
+Particles random_in(const comm::Box3& box, std::size_t n, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  Particles p;
+  for (std::size_t i = 0; i < n; ++i) {
+    p.push_back(i, Species::kDarkMatter,
+                static_cast<float>(rng.next_double() * box.hi[0]),
+                static_cast<float>(rng.next_double() * box.hi[1]),
+                static_cast<float>(rng.next_double() * box.hi[2]), 0, 0, 0,
+                1.0f);
+  }
+  return p;
+}
+
+int image_code(const std::array<int, 3>& k) {
+  return (k[0] + 2) + 5 * (k[1] + 2) + 25 * (k[2] + 2);
+}
+
+/// The brute-force coverage contract of a periodic pair list: pair
+/// (A, B + k) covers every ordered (i in A, j in B, k) and, through its
+/// mirrored j-side, (j, i, -k); a self pair (A, A) covers (i, j != i, 0).
+/// Every (i, j, image) closer than `radius` must be covered, and no
+/// (i, j, image) more than once.
+void expect_periodic_coverage(const Particles& p, const ChainingMesh& mesh,
+                              const comm::Box3& box, double radius,
+                              const std::string& label) {
+  const auto pairs = mesh.interaction_pairs(radius);
+  std::map<std::tuple<std::uint32_t, std::uint32_t, int>, int> covered;
+  for (const auto& [la, id] : pairs) {
+    ASSERT_LT(la, mesh.num_leaves()) << label;
+    const LeafImage b = mesh.resolve(id);
+    const auto k = mesh.image_periods(id);
+    const std::array<int, 3> minus{-k[0], -k[1], -k[2]};
+    const Leaf& a = mesh.leaf(la);
+    const Leaf& lb = mesh.leaf(b.leaf);
+    for (std::uint32_t s = a.begin; s < a.end; ++s) {
+      for (std::uint32_t t = lb.begin; t < lb.end; ++t) {
+        const std::uint32_t i = mesh.permutation()[s];
+        const std::uint32_t j = mesh.permutation()[t];
+        if (id == la) {
+          if (i != j) ++covered[{i, j, image_code(k)}];
+          continue;
+        }
+        ++covered[{i, j, image_code(k)}];
+        ++covered[{j, i, image_code(minus)}];
+      }
+    }
+  }
+  for (const auto& [key, count] : covered) {
+    EXPECT_EQ(count, 1) << label << ": (" << std::get<0>(key) << ", "
+                        << std::get<1>(key) << ", image "
+                        << std::get<2>(key) << ") covered twice";
+  }
+  std::size_t within = 0;
+  const double r2 = radius * radius * (1.0 - 1e-9);
+  for (std::uint32_t i = 0; i < p.size(); ++i) {
+    for (std::uint32_t j = 0; j < p.size(); ++j) {
+      for (int kz = -2; kz <= 2; ++kz) {
+        for (int ky = -2; ky <= 2; ++ky) {
+          for (int kx = -2; kx <= 2; ++kx) {
+            if (i == j && kx == 0 && ky == 0 && kz == 0) continue;
+            const double dx = static_cast<double>(p.x[i]) - p.x[j] - kx * box.hi[0];
+            const double dy = static_cast<double>(p.y[i]) - p.y[j] - ky * box.hi[1];
+            const double dz = static_cast<double>(p.z[i]) - p.z[j] - kz * box.hi[2];
+            if (dx * dx + dy * dy + dz * dz >= r2) continue;
+            ++within;
+            EXPECT_TRUE(covered.count({i, j, image_code({kx, ky, kz})}))
+                << label << ": (" << i << ", " << j << ", image (" << kx
+                << "," << ky << "," << kz << ")) within radius not covered";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(within, 0u) << label << ": degenerate case";
+}
+
+TEST(ChainingMesh, PeriodicImageIdsRoundTrip) {
+  const auto box = box_of(6.0, 3.0, 9.0);
+  const auto p = random_in(box, 200, 30);
+  ChainingMesh mesh(box, {2.0, 16, /*periodic=*/true});
+  mesh.build(p);
+  ASSERT_TRUE(mesh.periodic());
+  const auto n = static_cast<std::uint32_t>(mesh.num_leaves());
+  EXPECT_EQ(mesh.num_leaf_ids(), ChainingMesh::kImages * n);
+  for (std::uint32_t l = 0; l < n; ++l) {
+    EXPECT_EQ(mesh.image_id(l, {0, 0, 0}), l);
+    EXPECT_FALSE(mesh.resolve(l).shifted);
+    for (int kz = -2; kz <= 2; ++kz) {
+      for (int ky = -2; ky <= 2; ++ky) {
+        for (int kx = -2; kx <= 2; ++kx) {
+          const std::uint32_t id = mesh.image_id(l, {kx, ky, kz});
+          EXPECT_LT(id, mesh.num_leaf_ids());
+          EXPECT_EQ(mesh.base_leaf(id), l);
+          EXPECT_EQ(mesh.image_periods(id), (std::array<int, 3>{kx, ky, kz}));
+          const LeafImage img = mesh.resolve(id);
+          EXPECT_EQ(img.leaf, l);
+          EXPECT_EQ(img.shifted, kx != 0 || ky != 0 || kz != 0);
+          EXPECT_EQ(img.shift[0], static_cast<float>(kx * 6.0));
+          EXPECT_EQ(img.shift[1], static_cast<float>(ky * 3.0));
+          EXPECT_EQ(img.shift[2], static_cast<float>(kz * 9.0));
+          // (l, m + k) mirrors to (m, l - k), and back.
+          const std::uint32_t m = (l + 1) % n;
+          const std::uint32_t back = mesh.mirror(l, mesh.image_id(m, {kx, ky, kz}));
+          EXPECT_EQ(back, mesh.image_id(l, {-kx, -ky, -kz}));
+          EXPECT_EQ(mesh.mirror(m, back), mesh.image_id(m, {kx, ky, kz}));
+        }
+      }
+    }
+  }
+}
+
+TEST(ChainingMesh, PeriodicPairsCoverEveryImageExactlyOnce) {
+  struct Case {
+    const char* label;
+    comm::Box3 box;
+    double bin_width;
+    std::uint32_t leaf_size;
+    double radius;
+  };
+  const Case cases[] = {
+      // One bin per side and a radius past half the box: every pair is
+      // seen at several images.
+      {"dims 1, r > L/2", box_of(4.0, 4.0, 4.0), 4.0, 16, 3.0},
+      // Two bins per side: the stencil wraps onto the same bins twice.
+      {"dims 2", box_of(6.0, 6.0, 6.0), 3.0, 16, 2.9},
+      {"dims 4", box_of(8.0, 8.0, 8.0), 2.0, 8, 1.7},
+      // Mixed dims per side (the Sod tube shape).
+      {"dims 8x1x1", box_of(16.0, 2.0, 2.0), 2.0, 8, 2.0},
+  };
+  for (const Case& c : cases) {
+    const auto p = random_in(c.box, 180, 31);
+    ChainingMesh mesh(c.box, {c.bin_width, c.leaf_size, /*periodic=*/true});
+    mesh.build(p);
+    expect_periodic_coverage(p, mesh, c.box, c.radius, c.label);
+  }
+}
+
+TEST(ChainingMesh, PeriodicCoverageSurvivesMembersLeavingTheBox) {
+  // Built, then every particle drifts (up to 0.2 per axis) and refits.
+  // Wrapped back into the box (the drift's wrap): leaves whose members
+  // crossed the edge stretch across the box. Unwrapped (a one-rank step
+  // wraps only at its end): members sit outside the box, down to a
+  // radius of one full box on a one-bin side. Either way the image
+  // shifts must follow the refit AABBs, not the build bins.
+  for (const bool wrap : {true, false}) {
+    for (const double bin_width : {2.0, 4.0, 8.0}) {
+      const auto box = box_of(8.0, 8.0, 8.0);
+      auto p = random_in(box, 200, 32);
+      ChainingMesh mesh(box, {bin_width, 8, /*periodic=*/true});
+      mesh.build(p);
+      SplitMix64 rng(33);
+      std::size_t crossed = 0;
+      const auto drift = [&](float& v) {
+        v += static_cast<float>(0.4 * (rng.next_double() - 0.5));
+        if (v < 0.0f || v >= 8.0f) {
+          ++crossed;
+          if (wrap) v += v < 0.0f ? 8.0f : -8.0f;
+        }
+      };
+      for (std::size_t i = 0; i < p.size(); ++i) {
+        drift(p.x[i]);
+        drift(p.y[i]);
+        drift(p.z[i]);
+      }
+      ASSERT_GT(crossed, 0u);
+      if (!wrap && bin_width >= 8.0) {
+        // One bin per side: two members past opposite faces, 8.6 apart
+        // along x, meet again two periods over at a radius of one box.
+        p.x[0] = 8.3f;
+        p.x[1] = -0.3f;
+        p.y[1] = p.y[0];
+        p.z[1] = p.z[0];
+      }
+      mesh.refit_bounds(p);
+      // The stencil reaches pairs whose build-time bins are adjacent:
+      // radius + 2 x 0.2 of drift within a bin, except on the one-bin
+      // side, where the radius can reach the whole box.
+      const double radius = bin_width >= 8.0 ? 8.0 : bin_width - 0.4;
+      expect_periodic_coverage(
+          p, mesh, box, wrap ? 1.5 : radius,
+          std::string(wrap ? "wrapped" : "unwrapped") + ", bin " +
+              std::to_string(bin_width));
+    }
+  }
+}
+
+TEST(ChainingMesh, PeriodicForEachInRadiusVisitsImages) {
+  for (const double bin_width : {1.5, 3.0, 6.0}) {
+    const auto box = box_of(6.0, 6.0, 6.0);
+    const auto p = random_in(box, 300, 34);
+    ChainingMesh mesh(box, {bin_width, 8, /*periodic=*/true});
+    mesh.build(p);
+    const float radius = static_cast<float>(bin_width);
+    SplitMix64 rng(35);
+    for (int trial = 0; trial < 25; ++trial) {
+      // Query points inside the box and just outside it (a drifted
+      // source before its wrap).
+      const float q[3] = {static_cast<float>(rng.next_double() * 6.4 - 0.2),
+                          static_cast<float>(rng.next_double() * 6.4 - 0.2),
+                          static_cast<float>(rng.next_double() * 6.4 - 0.2)};
+      std::vector<std::pair<std::uint32_t, float>> found;
+      mesh.for_each_in_radius(p, q[0], q[1], q[2], radius,
+                              [&](std::uint32_t i, float d2) {
+                                found.emplace_back(i, d2);
+                              });
+      std::vector<std::pair<std::uint32_t, float>> expected;
+      const float r2 = radius * radius;
+      for (std::uint32_t i = 0; i < p.size(); ++i) {
+        for (int kz = -2; kz <= 2; ++kz) {
+          for (int ky = -2; ky <= 2; ++ky) {
+            for (int kx = -2; kx <= 2; ++kx) {
+              float px = p.x[i], py = p.y[i], pz = p.z[i];
+              if (kx != 0 || ky != 0 || kz != 0) {
+                px += static_cast<float>(kx * 6.0);
+                py += static_cast<float>(ky * 6.0);
+                pz += static_cast<float>(kz * 6.0);
+              }
+              const float dx = px - q[0], dy = py - q[1], dz = pz - q[2];
+              const float d2 = dx * dx + dy * dy + dz * dz;
+              if (d2 <= r2) expected.emplace_back(i, d2);
+            }
+          }
+        }
+      }
+      std::sort(found.begin(), found.end());
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(found, expected) << "bin " << bin_width << " trial " << trial;
+    }
+  }
+}
+
+TEST(ChainingMeshDeathTest, PeriodicMeshRejectsOutOfReachRadius) {
+  const auto box = box_of(6.0, 6.0, 6.0);
+  const auto p = random_in(box, 60, 36);
+  ChainingMesh mesh(box, {2.0, 8, /*periodic=*/true});
+  mesh.build(p);
+  // At the smallest bin width the one-bin stencil still reaches.
+  EXPECT_FALSE(mesh.interaction_pairs(2.0).empty());
+  EXPECT_DEATH(mesh.interaction_pairs(2.5), "query radius exceeds");
+  EXPECT_DEATH(mesh.neighbor_leaves(0, 2.5), "query radius exceeds");
+  EXPECT_DEATH(mesh.for_each_in_radius(p, 3.0f, 3.0f, 3.0f, 2.5f,
+                                       [](std::uint32_t, float) {}),
+               "query radius exceeds");
+  // Overloaded meshes keep taking out-of-bin radii: Newtonian callers
+  // ask for every stencil pair with a radius of 1e15.
+  ChainingMesh open(box, {2.0, 8});
+  open.build(p);
+  EXPECT_FALSE(open.interaction_pairs(1e15).empty());
 }
 
 // --- LBVH ---------------------------------------------------------------------
