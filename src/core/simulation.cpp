@@ -459,18 +459,13 @@ StepReport Simulation::step_body(SdcStepStats* stats) {
         sph_.update_smoothing_lengths(particles_, active.data());
       }
 
-      // All particles drift at the fine cadence. A one-rank world keeps
-      // positions unwrapped until the step ends: a member wrapped across
-      // the box edge would stretch its leaf's AABB across the periodic
-      // mesh and multiply that leaf's images.
+      // All particles drift at the fine cadence.
       {
         HACC_TRACE_SPAN("drift");
-        kdk_.drift(particles_, a_s, a_s + da_fine,
-                   decomp_.self_periodic() ? 0.0 : config_.box, nullptr);
+        kdk_.drift(particles_, a_s, a_s + da_fine, config_.box, nullptr);
       }
     }
   }
-  if (decomp_.self_periodic()) integrator::wrap_owned(particles_, config_.box);
 
   // Serve the remaining substeps of donors that sub-cycle deeper than
   // this rank (their requests are already queued; recv order is FIFO

@@ -10,8 +10,8 @@
 //
 // A one-rank world (comm::CartDecomposition::self_periodic) overloads
 // nothing: its chaining meshes wrap periodically (tree/chaining_mesh.h),
-// positions stay unwrapped until the step ends, and in situ analysis
-// builds its replica cloud when it runs (core/exchange.h).
+// and in situ analysis builds its replica cloud when it runs
+// (core/exchange.h).
 //
 // Wall-clock is accounted into the paper's Fig. 5 timer taxonomy
 // (long_range / tree_build / short_range / analysis / io / misc), and all

@@ -26,21 +26,7 @@ inline void kick_energy(Particles& particles, std::size_t i, float dt) {
   particles.u[i] = u;
 }
 
-inline void wrap_coordinate(float& v, float box) {
-  if (v < 0.f) v += box; else if (v >= box) v -= box;
-}
-
 }  // namespace
-
-void wrap_owned(Particles& particles, double box) {
-  const float fbox = static_cast<float>(box);
-  for (std::size_t i = 0; i < particles.size(); ++i) {
-    if (!particles.is_owned(i)) continue;
-    wrap_coordinate(particles.x[i], fbox);
-    wrap_coordinate(particles.y[i], fbox);
-    wrap_coordinate(particles.z[i], fbox);
-  }
-}
 
 void Kdk::kick(Particles& particles, double a0, double a1,
                const std::uint8_t* active, bool with_drag) const {
@@ -71,10 +57,10 @@ void Kdk::drift(Particles& particles, double a0, double a1, double box,
     // Periodic wrap for owned particles (drifts are < box per step).
     // Ghost replicas live at unwrapped image coordinates and must stay
     // there so the chaining mesh keeps them adjacent to the domain edge.
-    if (box > 0.0 && particles.is_owned(i)) {
-      wrap_coordinate(x, fbox);
-      wrap_coordinate(y, fbox);
-      wrap_coordinate(z, fbox);
+    if (particles.is_owned(i)) {
+      if (x < 0.f) x += fbox; else if (x >= fbox) x -= fbox;
+      if (y < 0.f) y += fbox; else if (y >= fbox) y -= fbox;
+      if (z < 0.f) z += fbox; else if (z >= fbox) z -= fbox;
     }
     particles.x[i] = x;
     particles.y[i] = y;

@@ -21,10 +21,6 @@
 
 namespace crkhacc::integrator {
 
-/// Periodic wrap of owned particles into [0, box), one period at most:
-/// the drift's wrap, for positions that drifted unwrapped through a step.
-void wrap_owned(Particles& particles, double box);
-
 class Kdk {
  public:
   explicit Kdk(const cosmo::Background& bg) : bg_(bg) {}
@@ -41,10 +37,8 @@ class Kdk {
   void kick(Particles& particles, double a0, double a1,
             const std::uint8_t* active, bool with_drag = true) const;
 
-  /// Position update over [a0, a1] (midpoint 1/a), periodic wrap of
-  /// owned particles into [0, box) (box = 0: no wrap — a one-rank world
-  /// wraps once per step with wrap_owned), plus the analytic adiabatic
-  /// expansion of u for gas.
+  /// Position update over [a0, a1] (midpoint 1/a), periodic wrap into
+  /// [0, box), plus the analytic adiabatic expansion of u for gas.
   void drift(Particles& particles, double a0, double a1, double box,
              const std::uint8_t* active) const;
 

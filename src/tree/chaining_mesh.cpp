@@ -11,12 +11,13 @@
 namespace crkhacc::tree {
 namespace {
 
-// Image codes number the 125 shifts k in {-2, ..., 2}^3 so that code 0
-// is the zero shift (real leaves keep their own ids): code = (raw + 63)
-// mod 125 with raw = (kx + 2) + 5 (ky + 2) + 25 (kz + 2), and raw(0) = 62.
-constexpr int kMaxPeriods = 2;
+// Image codes number the 27 shifts k in {-1, 0, 1}^3 so that code 0 is
+// the zero shift (real leaves keep their own ids): code = (raw + 14) mod
+// 27 with raw = (kx + 1) + 3 (ky + 1) + 9 (kz + 1), and raw(0) = 13.
+constexpr int kMaxPeriods = 1;
 constexpr int kSpan = 2 * kMaxPeriods + 1;
 constexpr int kZeroRaw = (kSpan * kSpan * kSpan) / 2;
+static_assert(kSpan * kSpan * kSpan == ChainingMesh::kImages);
 
 std::uint32_t code_of_periods(const std::array<int, 3>& k) {
   HACC_ASSERT(std::abs(k[0]) <= kMaxPeriods && std::abs(k[1]) <= kMaxPeriods &&
@@ -107,8 +108,7 @@ void ChainingMesh::check_reach(double radius) const {
             "width, so the 27-bin stencil cannot reach every neighbor");
 }
 
-std::size_t ChainingMesh::bin_of_position(float x, float y, float z,
-                                          bool wrap) const {
+std::size_t ChainingMesh::bin_of_position(float x, float y, float z) const {
   const double p[3] = {static_cast<double>(x), static_cast<double>(y),
                        static_cast<double>(z)};
   int c[3];
@@ -119,10 +119,6 @@ std::size_t ChainingMesh::bin_of_position(float x, float y, float z,
     // coordinate (e.g. a flipped exponent bit the SDC audit hasn't caught
     // yet) must land in a valid edge bin, not invoke float->int UB.
     double cell = (p[d] - domain_.lo[d]) / width_[d];
-    if (wrap && std::isfinite(cell)) {
-      cell = std::fmod(std::floor(cell), static_cast<double>(dims_[d]));
-      if (cell < 0.0) cell += dims_[d];
-    }
     if (!(cell > 0.0)) cell = 0.0;  // negatives and NaN both land here
     const double top = static_cast<double>(dims_[d] - 1);
     if (cell > top) cell = top;
@@ -317,17 +313,15 @@ std::vector<std::uint32_t> ChainingMesh::neighbor_leaves(std::size_t l,
         for (std::uint32_t m = bin_leaf_begin_[nb]; m < bin_leaf_begin_[nb + 1];
              ++m) {
           const Leaf& other = leaves_[m];
-          if (!periodic()) {
-            if (aabb_distance_sq(me, other) <= r2) out.push_back(m);
-            continue;
-          }
           // Images from the refit AABBs: the shifts under which the
           // partner's box comes within reach, whatever bins its members
-          // started in.
-          int k_lo[3], k_hi[3];
-          for (int d = 0; d < 3; ++d) {
-            image_range(me.lo[d], me.hi[d], other.lo[d], other.hi[d], radius, d,
-                        k_lo[d], k_hi[d]);
+          // started in. Only the zero shift on an overloaded mesh.
+          int k_lo[3] = {0, 0, 0}, k_hi[3] = {0, 0, 0};
+          if (periodic()) {
+            for (int d = 0; d < 3; ++d) {
+              image_range(me.lo[d], me.hi[d], other.lo[d], other.hi[d], radius,
+                          d, k_lo[d], k_hi[d]);
+            }
           }
           for (int kz = k_lo[2]; kz <= k_hi[2]; ++kz) {
             for (int ky = k_lo[1]; ky <= k_hi[1]; ++ky) {

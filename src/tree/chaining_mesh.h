@@ -16,15 +16,14 @@
 // box itself, with no overload shell, and the bin stencil wraps. A leaf
 // seen through a periodic image is named by a virtual leaf id:
 // image_id(leaf, k) = code(k) * num_leaves() + leaf for a shift of k
-// periods per dimension, k in {-2, ..., 2}^3, with code 0 the zero shift
+// periods per dimension, k in {-1, 0, 1}^3, with code 0 the zero shift
 // — so ids below num_leaves() are the real leaves and pair lists keep
 // their (u32, u32) type. resolve() turns an id back into (base leaf,
 // position shift). Which images a leaf pair needs is decided from the
 // refit AABBs, not from bin indices, so coverage stays exact after
-// members drift or wrap across the box edge mid-step. Members may sit
-// up to half a box outside it (a one-rank Simulation wraps positions
-// only at the step end, so a member crossing the edge does not stretch
-// its leaf across the box); two periods per side then reach every
+// members drift or wrap across the box edge mid-step (a leaf whose
+// member wrapped spans the box and takes more images). Members lie in
+// the box (the drift wraps them), so one period per side reaches every
 // image within a radius of at most one bin width (<= the box).
 //
 // Builds accept an optional util::ThreadPool: binning and the per-bin k-d
@@ -132,8 +131,8 @@ class ChainingMesh {
   /// Box extent along dimension d on a periodic mesh; 0 otherwise.
   double period(int d) const { return period_[d]; }
 
-  /// Image shifts per dimension are -2 ... +2 periods: 125 images.
-  static constexpr std::uint32_t kImages = 125;
+  /// Image shifts per dimension are -1, 0, +1 periods: 27 images.
+  static constexpr std::uint32_t kImages = 27;
 
   /// Leaf ids a pair list may name: num_leaves() real leaves, times
   /// kImages on a periodic mesh. Ids are valid until the next build.
@@ -141,7 +140,7 @@ class ChainingMesh {
     return periodic() ? kImages * leaves_.size() : leaves_.size();
   }
 
-  /// Virtual id of leaf `leaf` shifted by `k` periods (each in -2..2);
+  /// Virtual id of leaf `leaf` shifted by `k` periods (each in -1..1);
   /// k = 0 is the leaf itself. Periodic meshes only.
   std::uint32_t image_id(std::uint32_t leaf, const std::array<int, 3>& k) const;
 
@@ -207,9 +206,10 @@ class ChainingMesh {
   /// visit(particle_index, distance_sq). Point queries are served from the
   /// bin of the position and its 26 neighbors, so radius must not exceed
   /// the bin width (CHECKed on periodic meshes, debug-asserted otherwise).
-  /// On a periodic mesh the distance is to each periodic image, so a
-  /// particle within `radius` at two images is visited twice. Used by
-  /// feedback injection and tests.
+  /// On a periodic mesh (x, y, z) lies in the box, as drifted positions
+  /// do, and the distance is to each periodic image, so a particle within
+  /// `radius` at two images is visited twice. Used by feedback injection
+  /// and tests.
   template <typename Visitor>
   void for_each_in_radius(const Particles& particles, float x, float y,
                           float z, float radius, Visitor&& visit) const {
@@ -220,7 +220,7 @@ class ChainingMesh {
     }
     const float r2 = radius * radius;
     const float q[3] = {x, y, z};
-    const std::size_t bin = bin_of_position(x, y, z, /*wrap=*/periodic());
+    const std::size_t bin = bin_of_position(x, y, z);
     const int bc[3] = {
         static_cast<int>(bin % static_cast<std::size_t>(dims_[0])),
         static_cast<int>((bin / dims_[0]) % static_cast<std::size_t>(dims_[1])),
@@ -289,18 +289,12 @@ class ChainingMesh {
   }
 
  private:
-  /// Bin of a position, clamped into the edge bins. `wrap` (periodic
-  /// point queries) first wraps the position onto its in-box image. Build
-  /// binning clamps on periodic meshes too: a member that drifted just
-  /// outside the box stays in the edge bin beside its neighbors, where
-  /// wrapping it would stretch its leaf's AABB across the box.
-  std::size_t bin_of_position(float x, float y, float z,
-                              bool wrap = false) const;
+  std::size_t bin_of_position(float x, float y, float z) const;
   /// Distinct stencil cells of cell c along dimension d (c-1, c, c+1,
   /// wrapped and de-duplicated on periodic meshes, clipped otherwise);
   /// returns the count written to out.
   int stencil(int c, int d, int out[3]) const;
-  /// Periods k (clamped to -2..2) for which [lo + k P, hi + k P] may come
+  /// Periods k (clamped to -1..1) for which [lo + k P, hi + k P] may come
   /// within `radius` of [me_lo, me_hi] along dimension d.
   void image_range(double me_lo, double me_hi, double lo, double hi,
                    double radius, int d, int& k_lo, int& k_hi) const;

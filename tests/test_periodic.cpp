@@ -320,9 +320,9 @@ TEST(PeriodicOneRank, AnalysisFindsHaloAcrossBoxEdgeOnce) {
 }
 
 TEST(PeriodicOneRank, StepsEndWrappedReplicaFreeAndThreadInvariant) {
-  // Inside a one-rank step positions drift unwrapped; at the step end
-  // they are wrapped into the box, with no replica in the state, and the
-  // whole path stays bitwise invariant under the thread count.
+  // Every one-rank step ends with positions wrapped into the box and no
+  // replica in the state, and the whole path stays bitwise invariant
+  // under the thread count.
   SimConfig config;
   config.np = 8;
   config.box = 16.0;

@@ -287,9 +287,9 @@ TEST(ChainingMesh, PeriodicImageIdsRoundTrip) {
   for (std::uint32_t l = 0; l < n; ++l) {
     EXPECT_EQ(mesh.image_id(l, {0, 0, 0}), l);
     EXPECT_FALSE(mesh.resolve(l).shifted);
-    for (int kz = -2; kz <= 2; ++kz) {
-      for (int ky = -2; ky <= 2; ++ky) {
-        for (int kx = -2; kx <= 2; ++kx) {
+    for (int kz = -1; kz <= 1; ++kz) {
+      for (int ky = -1; ky <= 1; ++ky) {
+        for (int kx = -1; kx <= 1; ++kx) {
           const std::uint32_t id = mesh.image_id(l, {kx, ky, kz});
           EXPECT_LT(id, mesh.num_leaf_ids());
           EXPECT_EQ(mesh.base_leaf(id), l);
@@ -338,51 +338,35 @@ TEST(ChainingMesh, PeriodicPairsCoverEveryImageExactlyOnce) {
 }
 
 TEST(ChainingMesh, PeriodicCoverageSurvivesMembersLeavingTheBox) {
-  // Built, then every particle drifts (up to 0.2 per axis) and refits.
-  // Wrapped back into the box (the drift's wrap): leaves whose members
-  // crossed the edge stretch across the box. Unwrapped (a one-rank step
-  // wraps only at its end): members sit outside the box, down to a
-  // radius of one full box on a one-bin side. Either way the image
-  // shifts must follow the refit AABBs, not the build bins.
-  for (const bool wrap : {true, false}) {
-    for (const double bin_width : {2.0, 4.0, 8.0}) {
-      const auto box = box_of(8.0, 8.0, 8.0);
-      auto p = random_in(box, 200, 32);
-      ChainingMesh mesh(box, {bin_width, 8, /*periodic=*/true});
-      mesh.build(p);
-      SplitMix64 rng(33);
-      std::size_t crossed = 0;
-      const auto drift = [&](float& v) {
-        v += static_cast<float>(0.4 * (rng.next_double() - 0.5));
-        if (v < 0.0f || v >= 8.0f) {
-          ++crossed;
-          if (wrap) v += v < 0.0f ? 8.0f : -8.0f;
-        }
-      };
-      for (std::size_t i = 0; i < p.size(); ++i) {
-        drift(p.x[i]);
-        drift(p.y[i]);
-        drift(p.z[i]);
+  // Built, then every particle drifts (up to 0.2 per axis), wraps back
+  // into the box as the drift does, and refits: leaves whose members
+  // crossed the edge stretch across the box. The image shifts must
+  // follow the refit AABBs, not the build bins.
+  for (const double bin_width : {2.0, 4.0, 8.0}) {
+    const auto box = box_of(8.0, 8.0, 8.0);
+    auto p = random_in(box, 200, 32);
+    ChainingMesh mesh(box, {bin_width, 8, /*periodic=*/true});
+    mesh.build(p);
+    SplitMix64 rng(33);
+    std::size_t crossed = 0;
+    const auto drift = [&](float& v) {
+      v += static_cast<float>(0.4 * (rng.next_double() - 0.5));
+      if (v < 0.0f || v >= 8.0f) {
+        ++crossed;
+        v += v < 0.0f ? 8.0f : -8.0f;
       }
-      ASSERT_GT(crossed, 0u);
-      if (!wrap && bin_width >= 8.0) {
-        // One bin per side: two members past opposite faces, 8.6 apart
-        // along x, meet again two periods over at a radius of one box.
-        p.x[0] = 8.3f;
-        p.x[1] = -0.3f;
-        p.y[1] = p.y[0];
-        p.z[1] = p.z[0];
-      }
-      mesh.refit_bounds(p);
-      // The stencil reaches pairs whose build-time bins are adjacent:
-      // radius + 2 x 0.2 of drift within a bin, except on the one-bin
-      // side, where the radius can reach the whole box.
-      const double radius = bin_width >= 8.0 ? 8.0 : bin_width - 0.4;
-      expect_periodic_coverage(
-          p, mesh, box, wrap ? 1.5 : radius,
-          std::string(wrap ? "wrapped" : "unwrapped") + ", bin " +
-              std::to_string(bin_width));
+    };
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      drift(p.x[i]);
+      drift(p.y[i]);
+      drift(p.z[i]);
     }
+    ASSERT_GT(crossed, 0u);
+    mesh.refit_bounds(p);
+    // The stencil reaches pairs whose build-time bins are adjacent:
+    // radius + 2 x 0.2 of drift within a bin.
+    expect_periodic_coverage(p, mesh, box, 1.5,
+                             "bin " + std::to_string(bin_width));
   }
 }
 
@@ -395,11 +379,9 @@ TEST(ChainingMesh, PeriodicForEachInRadiusVisitsImages) {
     const float radius = static_cast<float>(bin_width);
     SplitMix64 rng(35);
     for (int trial = 0; trial < 25; ++trial) {
-      // Query points inside the box and just outside it (a drifted
-      // source before its wrap).
-      const float q[3] = {static_cast<float>(rng.next_double() * 6.4 - 0.2),
-                          static_cast<float>(rng.next_double() * 6.4 - 0.2),
-                          static_cast<float>(rng.next_double() * 6.4 - 0.2)};
+      const float q[3] = {static_cast<float>(rng.next_double() * 6.0),
+                          static_cast<float>(rng.next_double() * 6.0),
+                          static_cast<float>(rng.next_double() * 6.0)};
       std::vector<std::pair<std::uint32_t, float>> found;
       mesh.for_each_in_radius(p, q[0], q[1], q[2], radius,
                               [&](std::uint32_t i, float d2) {
