@@ -47,16 +47,27 @@ PMSolver::PMSolver(comm::Communicator& comm,
       fft_(comm, config.ng) {
   CHECK(config.ng >= 4);
   CHECK(config.box > 0.0);
+  const std::size_t ng = config.ng;
+  const double cell = config.box / static_cast<double>(ng);
+  wavenumber_.resize(ng);
+  window_.resize(ng);
+  for (std::size_t i = 0; i < ng; ++i) {
+    wavenumber_[i] = 2.0 * kPi / config.box *
+                     static_cast<double>(fft::freq_of(i, ng));
+    window_[i] = sinc(0.5 * wavenumber_[i] * cell);
+  }
 }
 
-double PMSolver::greens(double kx, double ky, double kz) const {
+double PMSolver::greens(std::size_t ix, std::size_t iy, std::size_t iz) const {
+  const double kx = wavenumber_[ix];
+  const double ky = wavenumber_[iy];
+  const double kz = wavenumber_[iz];
   const double k2 = kx * kx + ky * ky + kz * kz;
   if (k2 <= 0.0) return 0.0;
-  const double cell = config_.box / static_cast<double>(config_.ng);
   // CIC window is sinc^2 per dimension; deconvolve deposit + interpolation.
-  const double wx = sinc(0.5 * kx * cell);
-  const double wy = sinc(0.5 * ky * cell);
-  const double wz = sinc(0.5 * kz * cell);
+  const double wx = window_[ix];
+  const double wy = window_[iy];
+  const double wz = window_[iz];
   const double w2 = wx * wx * wy * wy * wz * wz;
   const double deconv = 1.0 / (w2 * w2);
   return -4.0 * kPi * units::kGravity *
@@ -168,21 +179,14 @@ std::vector<fft::Complex> PMSolver::overdensity_spectrum(
   fft_.forward();
   std::vector<fft::Complex> spectrum = fft_.k_data();
   // Deconvolve the CIC deposit window.
-  const double cell = config_.box / static_cast<double>(ng);
   const std::size_t kx0 = fft_.local_kx_start();
   const std::size_t nx_local = fft_.local_kx_count();
   for (std::size_t xl = 0; xl < nx_local; ++xl) {
-    const double kx = 2.0 * kPi / config_.box *
-                      static_cast<double>(fft::freq_of(kx0 + xl, ng));
-    const double wx = sinc(0.5 * kx * cell);
+    const double wx = window_[kx0 + xl];
     for (std::size_t y = 0; y < ng; ++y) {
-      const double ky = 2.0 * kPi / config_.box *
-                        static_cast<double>(fft::freq_of(y, ng));
-      const double wy = sinc(0.5 * ky * cell);
+      const double wy = window_[y];
       for (std::size_t z = 0; z < ng; ++z) {
-        const double kz = 2.0 * kPi / config_.box *
-                          static_cast<double>(fft::freq_of(z, ng));
-        const double wz = sinc(0.5 * kz * cell);
+        const double wz = window_[z];
         const double w = wx * wx * wy * wy * wz * wz;
         spectrum[(xl * ng + y) * ng + z] /= w;
       }
@@ -215,16 +219,10 @@ void PMSolver::apply(comm::Communicator& comm, Particles& particles,
                                             "pm_gradient");
     auto& kdata = fft_.k_data();
     for (std::size_t xl = 0; xl < nx_local; ++xl) {
-      const double kx = 2.0 * kPi / config_.box *
-                        static_cast<double>(fft::freq_of(kx0 + xl, ng));
       for (std::size_t y = 0; y < ng; ++y) {
-        const double ky = 2.0 * kPi / config_.box *
-                          static_cast<double>(fft::freq_of(y, ng));
         for (std::size_t z = 0; z < ng; ++z) {
-          const double kz = 2.0 * kPi / config_.box *
-                            static_cast<double>(fft::freq_of(z, ng));
-          const double g = greens(kx, ky, kz);
-          const double kd = (d == 0) ? kx : (d == 1) ? ky : kz;
+          const double g = greens(kx0 + xl, y, z);
+          const double kd = wavenumber_[(d == 0) ? kx0 + xl : (d == 1) ? y : z];
           // F_d(k) = -i k_d phi_k
           kdata[(xl * ng + y) * ng + z] =
               fft::Complex(0.0, -kd * g) * rho_k[(xl * ng + y) * ng + z];

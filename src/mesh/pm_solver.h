@@ -78,14 +78,20 @@ class PMSolver {
   const fft::DistributedFFT& fft() const { return fft_; }
 
  private:
-  /// phi_k multiplier: -4 pi G S(k) / (k^2 W^2), 0 at k=0.
-  double greens(double kx, double ky, double kz) const;
+  /// phi_k multiplier: -4 pi G S(k) / (k^2 W^2), 0 at k=0, at the global
+  /// frequency indices (ix, iy, iz).
+  double greens(std::size_t ix, std::size_t iy, std::size_t iz) const;
 
   comm::Communicator& comm_;
   const comm::CartDecomposition& decomp_;
   PMConfig config_;
   ForceSplit split_;
   fft::DistributedFFT fft_;
+  /// Per frequency index i (any axis): the wavenumber 2 pi freq(i) / box
+  /// and the CIC window factor sinc(k cell / 2). Filled once, so the
+  /// Green's function and the spectrum deconvolution cost no sin per mode.
+  std::vector<double> wavenumber_;
+  std::vector<double> window_;
   double mean_density_ = 0.0;
   util::ThreadPool* pool_ = nullptr;
 };
