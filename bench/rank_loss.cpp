@@ -6,19 +6,24 @@
 // into a collective verdict, the campaign relaunches the survivors, and
 // the adopting ranks replay the dead rank's checkpoint chain from the
 // PFS. This bench measures that claim end to end on a 3 -> 2 rank
-// shrink and gates:
+// shrink. It runs kPairs interleaved (shrink, fault-free restart) pairs
+// and gates:
 //
-//   1. overhead — the full recovery (watchdog detection + survivor
-//      unwinding + shrunken relaunch running to completion) costs less
-//      than 1.10x a fault-free 2-rank restart doing the same replay
-//      from the same checkpoint step;
-//   2. correctness — the shrunken run's final particle state is bitwise
-//      identical to that fault-free restart (memcmp per column);
-//   3. bookkeeping — exactly one rank file is adopted and the campaign
-//      reports one loss and one shrink recovery.
+//   1. overhead — over the pairs, the median ratio of the full recovery
+//      (watchdog detection + survivor unwinding + shrunken relaunch
+//      running to completion) to a fault-free 2-rank restart doing the
+//      same replay from the same checkpoint step is below 1.10x. One
+//      sample of each is a ~0.1 s wall clock on a shared host, too
+//      noisy to hold at 1.10x alone;
+//   2. correctness — in every pair, the shrunken run's final particle
+//      state is bitwise identical to that fault-free restart (memcmp
+//      per column);
+//   3. bookkeeping — in every pair, exactly one rank file is adopted and
+//      the campaign reports one loss and one shrink recovery.
 //
 // --quick shrinks the problem and runs as the rank_loss_smoke ctest
 // target, so a detection or adoption regression fails the build.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <chrono>
@@ -141,60 +146,32 @@ struct Stores {
   }
 };
 
-}  // namespace
+/// One interleaved pair: a shrink recovery, then the fault-free 2-rank
+/// restart from the checkpoint step it resumed at.
+struct PairOutcome {
+  double recovery_s = 0.0;
+  double restart_s = 0.0;
+  bool ok = true;
+};
 
-int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-  const int ranks = 3;
-  const core::SimConfig config = bench_config(quick);
-  const comm::WatchdogConfig fast_watchdog{true, 0.005};
-
-  const auto root = fs::temp_directory_path() / "crkhacc_rank_loss_bench";
-  fs::remove_all(root);
-  fs::create_directories(root);
-
-  std::printf("rank_loss: np=%d ng=%d steps=%d, %d ranks -> %d survivors\n\n",
-              static_cast<int>(config.np), static_cast<int>(config.ng),
-              config.num_pm_steps, ranks, ranks - 1);
-
-  // --- probe: fault-free op budget per rank ------------------------------
-  std::vector<std::uint64_t> op_base(ranks, 0), op_end(ranks, 0);
-  {
-    Stores stores(root / "probe", ranks);
-    comm::World world(ranks);
-    world.run([&](comm::Communicator& comm) {
-      core::CampaignEpoch epoch;
-      epoch.local = stores.locals[static_cast<std::size_t>(comm.rank())];
-      epoch_program(comm, epoch, stores.pfs, config, &op_base, &op_end,
-                    nullptr);
-    });
-  }
-  const std::uint64_t kill_op = (op_base[1] + op_end[1]) / 2;
-  std::printf("probe: rank 1 comm ops %llu..%llu, kill scheduled at op %llu\n",
-              static_cast<unsigned long long>(op_base[1]),
-              static_cast<unsigned long long>(op_end[1]),
-              static_cast<unsigned long long>(kill_op));
+PairOutcome run_pair(const fs::path& root, const core::SimConfig& config,
+                     int ranks, std::uint64_t kill_op,
+                     const comm::WatchdogConfig& watchdog) {
+  PairOutcome out;
 
   // --- shrink: kill rank 1 mid-run, survive on 2 ranks -------------------
   Stores shrink_stores(root / "shrink", ranks);
   std::vector<RankRecord> shrunk(ranks);
   core::Campaign campaign(core::RankLossPolicy::kShrink, shrink_stores.locals,
-                          fast_watchdog);
+                          watchdog);
   campaign.schedule_rank_failure(1, kill_op);
   campaign.run([&](comm::Communicator& comm, const core::CampaignEpoch& epoch) {
     epoch_program(comm, epoch, shrink_stores.pfs, config, nullptr, nullptr,
                   &shrunk);
   });
-  const double recovery_s = campaign.last_recovery_seconds();
+  out.recovery_s = campaign.last_recovery_seconds();
   const std::uint64_t resume_step = shrunk[0].resume_step;
-  std::printf("shrink: recovered from step %llu, recovery %0.3f s "
-              "(detection + shrunken relaunch to completion)\n",
-              static_cast<unsigned long long>(resume_step), recovery_s);
 
-  bool ok = true;
   if (campaign.rank_losses() != 1 || campaign.shrink_recoveries() != 1 ||
       !shrunk[0].finished || !shrunk[1].finished ||
       shrunk[0].result.adopted_rank_files != 1) {
@@ -204,7 +181,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(campaign.shrink_recoveries()),
                 static_cast<unsigned long long>(
                     shrunk[0].result.adopted_rank_files));
-    ok = false;
+    out.ok = false;
   }
 
   // --- reference: fault-free 2-rank restart from the same step -----------
@@ -220,7 +197,7 @@ int main(int argc, char** argv) {
 
   std::vector<RankRecord> reference(ranks - 1);
   core::Campaign ref_campaign(core::RankLossPolicy::kShrink, ref_stores.locals,
-                              fast_watchdog);
+                              watchdog);
   ref_campaign.set_resume(true);
   const auto restart_begin = Clock::now();
   ref_campaign.run(
@@ -228,18 +205,14 @@ int main(int argc, char** argv) {
         epoch_program(comm, epoch, ref_stores.pfs, config, nullptr, nullptr,
                       &reference);
       });
-  const double restart_s =
+  out.restart_s =
       std::chrono::duration<double>(Clock::now() - restart_begin).count();
-  std::printf("reference: fault-free 2-rank restart from step %llu took "
-              "%0.3f s\n\n",
-              static_cast<unsigned long long>(reference[0].resume_step),
-              restart_s);
 
   if (reference[0].resume_step != resume_step) {
     std::printf("FAIL: reference restarted from step %llu, not %llu\n",
                 static_cast<unsigned long long>(reference[0].resume_step),
                 static_cast<unsigned long long>(resume_step));
-    ok = false;
+    out.ok = false;
   }
   for (int r = 0; r < ranks - 1; ++r) {
     const auto idx = static_cast<std::size_t>(r);
@@ -247,19 +220,82 @@ int main(int argc, char** argv) {
                        reference[idx].final_particles)) {
       std::printf("FAIL: rank %d final state differs from the fault-free "
                   "restart\n", r);
-      ok = false;
+      out.ok = false;
     }
   }
+  std::printf("pair: recovered from step %llu in %0.3f s (detection + "
+              "shrunken relaunch to completion), restart %0.3f s -> %0.2fx, "
+              "re-entry %s\n",
+              static_cast<unsigned long long>(resume_step), out.recovery_s,
+              out.restart_s,
+              out.restart_s > 0.0 ? out.recovery_s / out.restart_s : 0.0,
+              out.ok ? "bitwise identical on both survivors" : "FAILED");
+  return out;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bool quick = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+  }
+  const int ranks = 3;
+  constexpr int kPairs = 5;
+  const core::SimConfig config = bench_config(quick);
+  const comm::WatchdogConfig fast_watchdog{true, 0.005};
+
+  const auto root = fs::temp_directory_path() / "crkhacc_rank_loss_bench";
+  fs::remove_all(root);
+  fs::create_directories(root);
+
+  std::printf("rank_loss: np=%d ng=%d steps=%d, %d ranks -> %d survivors, "
+              "%d interleaved pairs\n\n",
+              static_cast<int>(config.np), static_cast<int>(config.ng),
+              config.num_pm_steps, ranks, ranks - 1, kPairs);
+
+  // --- probe: fault-free op budget per rank ------------------------------
+  std::vector<std::uint64_t> op_base(ranks, 0), op_end(ranks, 0);
+  {
+    Stores stores(root / "probe", ranks);
+    comm::World world(ranks);
+    world.run([&](comm::Communicator& comm) {
+      core::CampaignEpoch epoch;
+      epoch.local = stores.locals[static_cast<std::size_t>(comm.rank())];
+      epoch_program(comm, epoch, stores.pfs, config, &op_base, &op_end,
+                    nullptr);
+    });
+  }
+  const std::uint64_t kill_op = (op_base[1] + op_end[1]) / 2;
+  std::printf("probe: rank 1 comm ops %llu..%llu, kill scheduled at op %llu"
+              "\n\n",
+              static_cast<unsigned long long>(op_base[1]),
+              static_cast<unsigned long long>(op_end[1]),
+              static_cast<unsigned long long>(kill_op));
+
+  bool ok = true;
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    const PairOutcome outcome =
+        run_pair(root / ("pair" + std::to_string(pair)), config, ranks,
+                 kill_op, fast_watchdog);
+    ok = ok && outcome.ok;
+    ratios.push_back(outcome.restart_s > 0.0
+                         ? outcome.recovery_s / outcome.restart_s
+                         : 0.0);
+  }
   if (ok) {
-    std::printf("re-entry: final state bitwise identical to the fault-free "
-                "restart on both survivors\n");
+    std::printf("\nre-entry and bookkeeping: every pair passes\n");
   }
 
-  const double overhead = restart_s > 0.0 ? recovery_s / restart_s : 0.0;
-  std::printf("recovery overhead: %0.3f s vs %0.3f s restart -> %0.2fx "
-              "(gate: < 1.10x)\n", recovery_s, restart_s, overhead);
-  if (overhead >= 1.10) {
-    std::printf("FAIL: recovery overhead above the 1.10x gate\n");
+  std::sort(ratios.begin(), ratios.end());
+  const double median = ratios[ratios.size() / 2];
+  std::printf("recovery overhead: median %0.2fx over %d pairs (sorted:",
+              median, kPairs);
+  for (const double r : ratios) std::printf(" %0.2f", r);
+  std::printf(") (gate: < 1.10x)\n");
+  if (median >= 1.10) {
+    std::printf("FAIL: median recovery overhead above the 1.10x gate\n");
     ok = false;
   }
 

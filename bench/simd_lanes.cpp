@@ -199,11 +199,9 @@ struct TimedPoint {
   }
 };
 
-/// The pair kernels timed individually. The split-gravity row is the
-/// Amdahl control: its per-pair cost is dominated by the double-
-/// precision erfc split factor, which stays scalar in the vector engine
-/// by the bitwise contract — so its ratio bounds what erfc-heavy
-/// launches can gain, while the fully-vectorized rows show the lane win.
+/// The pair kernels timed individually. Gravity runs twice: pure
+/// Newtonian, and with the force split's in-lane polynomial factor (the
+/// launch every cosmological step makes).
 enum class BenchKernel { kMomentum, kDensity, kGravity, kGravitySplit };
 
 const char* kernel_name(BenchKernel k) {
@@ -323,14 +321,12 @@ int main(int argc, char** argv) {
               fused_threaded.checksum, fused_ok ? "OK" : "FAIL");
 
   // Gate 3: per-kernel wall time at 8 threads, ScalarTiles vs vector
-  // tiles. The fully-vectorized kernels (momentum, density, plain
-  // gravity) carry the speedup gate; the split-gravity row is reported
-  // as the Amdahl control (its erfc split factor stays scalar in the
-  // vector engine by the bitwise contract, bounding that launch's gain).
+  // tiles. Momentum, density and plain gravity carry the speedup gate;
+  // the split-gravity row is reported beside them.
   std::printf("\n%-14s %-12s %-12s %-9s %-11s\n", "kernel",
               "scalar[s]", "simd[s]", "wall-x", "projected-x");
   bench::print_rule();
-  double vector_speedup = 0.0;  // best of the fully-vectorized kernels
+  double vector_speedup = 0.0;  // best of the gated kernels
   double split_speedup = 0.0;
   std::string per_kernel_json;
   for (const auto which :
@@ -360,10 +356,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\n(single-core substitute machine: workers share one core, so the "
       "projection — serial remainder +\n longest worker lane on the thread "
-      "CPU clock — is the dedicated-lane wall time.)\n"
-      "(gravity+split is erfc-bound in both drivers; its ratio %.2fx is "
-      "the Amdahl control, not the lane win.)\n",
-      split_speedup);
+      "CPU clock — is the dedicated-lane wall time.)\n");
 
   std::printf("\ngates: determinism %s, fused-ulp %s",
               deterministic ? "PASS" : "FAIL", fused_ok ? "PASS" : "FAIL");

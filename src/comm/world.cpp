@@ -15,6 +15,11 @@ constexpr int kTagAllgather = -1;
 constexpr int kTagBcast = -2;
 constexpr int kTagAlltoall = -3;
 
+/// Watchdog sample spacing once a rank has died: the survivors are about
+/// to wedge on the dead peer, and proving that should not wait out the
+/// configured poll interval twice.
+constexpr double kLossPollIntervalS = 0.0005;
+
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -72,6 +77,7 @@ void World::run(const std::function<void(Communicator&)>& rank_main) {
   }
   progress_.store(0);
   unfinished_.store(num_ranks_);
+  rank_lost_ = false;
 
   std::thread watchdog;
   if (watchdog_config_.enabled) {
@@ -95,6 +101,13 @@ void World::run(const std::function<void(Communicator&)>& rank_main) {
           failures_.push_back(FailureRecord{failure.rank(), failure.op()});
         }
         set_phase(r, Phase::kFailed);
+        {
+          // Under the watchdog's mutex, so the wake-up cannot slip in
+          // between its predicate check and its wait.
+          std::lock_guard<std::mutex> lock(watchdog_mutex_);
+          rank_lost_ = true;
+        }
+        watchdog_cv_.notify_all();
       } catch (const DeadlockError&) {
         set_phase(r, Phase::kFailed);
       }
@@ -140,13 +153,23 @@ void World::set_phase(int rank, Phase phase, int source, int tag,
 void World::watchdog_loop() {
   std::uint64_t last_progress = progress_.load();
   bool armed = false;
+  // A death switches the cadence from the configured poll interval to
+  // kLossPollIntervalS; a deadlock with no death keeps the configured one.
+  // The proof itself is unchanged.
+  bool loss_cadence = false;
   while (unfinished_.load() > 0 && !deadlock_flag_.load()) {
     {
       std::unique_lock<std::mutex> lock(watchdog_mutex_);
-      watchdog_cv_.wait_for(
-          lock,
-          std::chrono::duration<double>(watchdog_config_.poll_interval_s),
-          [this] { return unfinished_.load() == 0; });
+      const double interval =
+          loss_cadence
+              ? std::min(kLossPollIntervalS, watchdog_config_.poll_interval_s)
+              : watchdog_config_.poll_interval_s;
+      watchdog_cv_.wait_for(lock, std::chrono::duration<double>(interval),
+                            [&] {
+                              return unfinished_.load() == 0 ||
+                                     (rank_lost_ && !loss_cadence);
+                            });
+      loss_cadence = rank_lost_;
     }
     if (unfinished_.load() == 0) return;
     const std::string diagnosis = watchdog_probe(last_progress, armed);

@@ -247,7 +247,10 @@ class Communicator {
 
 /// Watchdog tuning. The watchdog only fires on a *proven* deadlock (all
 /// live ranks blocked, no deliverable message, no progress across two
-/// consecutive polls), so it is safe to leave on by default.
+/// consecutive polls), so it is safe to leave on by default. Once a rank
+/// has died the watchdog polls every 0.5 ms (or poll_interval_s, if
+/// shorter), so a rank loss is proven within milliseconds of the
+/// survivors wedging.
 struct WatchdogConfig {
   bool enabled = true;
   double poll_interval_s = 0.05;
@@ -360,6 +363,7 @@ class World {
   std::string deadlock_diagnosis_;
   std::mutex watchdog_mutex_;
   std::condition_variable watchdog_cv_;
+  bool rank_lost_ = false;  ///< a rank died this run; guarded by watchdog_mutex_
   bool dirty_ = false;  ///< previous run left mailboxes/barrier corrupt
 };
 

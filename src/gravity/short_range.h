@@ -3,8 +3,12 @@
 //
 // Within the chaining-mesh cutoff, each pair contributes the Newtonian
 // force times the split factor f_s(r) (mesh/force_split.h), so that
-// PM + short-range sums to the full 1/r^2 force. A Plummer softening
-// regularizes close encounters at the force-resolution scale. Runs as a
+// PM + short-range sums to the full 1/r^2 force. The kernel evaluates
+// f_s in-lane, as the float polynomial mesh::SplitPolynomial (within
+// 2e-6 of the double definition): scalar and vector tiles run the same
+// elementwise float ops, so they stay bitwise equal under kExact. A
+// Plummer softening regularizes close encounters at the force-resolution
+// scale. Runs as a
 // warp-split leaf-pair kernel like every other short-range operator,
 // through gpu::launch_pair_kernel's owner tasks: the pair-list entry
 // point builds the launch plan and hands it to the plan entry point,
@@ -22,13 +26,18 @@
 #include "gpu/warp.h"
 #include "mesh/force_split.h"
 #include "tree/chaining_mesh.h"
+#include "util/assertions.h"
 
 namespace crkhacc::gravity {
 
 class ShortRangeKernel {
  public:
   static constexpr const char* kName = "gravity_short_range";
-  static constexpr double kFlopsPerInteraction = 42.0;
+  /// What interact executes (FMA = 2, sqrt and divide = 1 each): 20 for
+  /// the softened Newtonian pair, plus the split factor at the default
+  /// threshold 1e-3, whose 13-term polynomial costs 2 (t) + 24 (Horner)
+  /// + 4 (1 - sqrt(r2) r2 P) = 30.
+  static constexpr double kFlopsPerInteraction = 50.0;
   static constexpr double kFlopsPerPartial = 1.0;
 
   struct State {
@@ -46,16 +55,20 @@ class ShortRangeKernel {
   /// non-cosmological problems); `accel_scale` should carry G and any
   /// cosmological factor (G / a^2 for comoving integrations);
   /// `softening` is the Plummer length; `cutoff` the interaction radius
-  /// (<= chaining-mesh bin width).
+  /// (<= chaining-mesh bin width, and <= the split's cutoff, beyond which
+  /// its polynomial is undefined).
   ShortRangeKernel(Particles& particles, const std::uint8_t* active,
                    const mesh::ForceSplit* split, float accel_scale,
                    float softening, float cutoff)
       : p_(particles),
         active_(active),
-        split_(split),
+        poly_(split ? &split->polynomial() : nullptr),
         scale_(accel_scale),
         soft2_(softening * softening),
-        cutoff2_(cutoff * cutoff) {}
+        cutoff2_(cutoff * cutoff) {
+    CHECK_MSG(!split || cutoff <= static_cast<float>(split->cutoff()),
+              "kernel cutoff exceeds the force split's cutoff");
+  }
 
   State load(std::uint32_t i) const {
     return State{p_.x[i], p_.y[i], p_.z[i], p_.mass[i]};
@@ -70,11 +83,9 @@ class ShortRangeKernel {
     const float dz = self.z - other.z;
     const float r2 = dx * dx + dy * dy + dz * dz;
     if (r2 >= cutoff2_ || r2 <= 0.0f) return;
-    const float r = std::sqrt(r2);
     const float soft_r2 = r2 + soft2_;
     const float inv_r3 = 1.0f / (soft_r2 * std::sqrt(soft_r2));
-    const float fs =
-        split_ ? static_cast<float>(split_->short_range_factor(r)) : 1.0f;
+    const float fs = poly_ ? poly_->evaluate(r2) : 1.0f;
     // a_i = -m_j f_s(r) d_ij / r^3 (G and 1/a^2 applied at store).
     const float f = -other_p.m * fs * inv_r3;
     acc.ax += f * dx;
@@ -113,6 +124,21 @@ class ShortRangeKernel {
     }
   };
 
+  /// mesh::SplitPolynomial::evaluate on kWidth lanes: the same ops in
+  /// the same order, each a*b + c step through Math::madd.
+  template <typename Math>
+  static gpu::simd::vfloat split_factor_simd(const mesh::SplitPolynomial& poly,
+                                             gpu::simd::vfloat r2) {
+    namespace v = gpu::simd;
+    const v::vfloat t =
+        Math::madd(r2, v::broadcast(poly.t_scale), v::broadcast(-1.0f));
+    v::vfloat p = v::broadcast(poly.coeff[poly.terms - 1]);
+    for (std::uint32_t k = poly.terms - 1; k-- > 0;) {
+      p = Math::madd(p, t, v::broadcast(poly.coeff[k]));
+    }
+    return v::broadcast(1.0f) - (v::sqrt(r2) * r2) * p;
+  }
+
   template <typename Math>
   void interact_simd(const SimdLanes& self, std::uint32_t sb,
                      const SimdLanes& other, std::uint32_t ob,
@@ -131,29 +157,14 @@ class ShortRangeKernel {
     const v::vfloat r2 = Math::madd(dz, dz, Math::madd(dy, dy, dx * dx));
     live = live & v::cmp_lt(r2, v::broadcast(cutoff2_)) &
            v::cmp_gt(r2, v::vzero());
-    // Fully-dead blocks skip the remaining math (and the split factor's
-    // scalar erfc calls) — the scalar driver's early-out, block-wise.
-    // Bitwise neutral: every op below is blended under `live`.
+    // Fully-dead blocks skip the remaining math — the scalar driver's
+    // early-out, block-wise. Bitwise neutral: every op below is blended
+    // under `live`.
     if (v::mask_bits(live) == 0) return;
-    const v::vfloat r = v::sqrt(r2);
     const v::vfloat soft_r2 = r2 + v::broadcast(soft2_);
     const v::vfloat inv_r3 = v::broadcast(1.0f) / (soft_r2 * v::sqrt(soft_r2));
-    v::vfloat fs = v::broadcast(1.0f);
-    if (split_) {
-      // The split factor is double-precision erfc/exp scalar code; calling
-      // it per live lane keeps vector tiles bitwise identical to scalar
-      // (split == nullptr launches stay fully vectorized).
-      alignas(32) float rl[v::kWidth];
-      alignas(32) float fl[v::kWidth];
-      v::store(rl, r);
-      const std::uint32_t bits = v::mask_bits(live);
-      for (std::uint32_t l = 0; l < v::kWidth; ++l) {
-        fl[l] = (bits >> l) & 1u
-                    ? static_cast<float>(split_->short_range_factor(rl[l]))
-                    : 1.0f;
-      }
-      fs = v::load_aligned(fl);
-    }
+    const v::vfloat fs =
+        poly_ ? split_factor_simd<Math>(*poly_, r2) : v::broadcast(1.0f);
     const v::vfloat f = v::neg(om) * fs * inv_r3;
     acc.ax = v::select(live, Math::madd(f, dx, acc.ax), acc.ax);
     acc.ay = v::select(live, Math::madd(f, dy, acc.ay), acc.ay);
@@ -163,7 +174,7 @@ class ShortRangeKernel {
  private:
   Particles& p_;
   const std::uint8_t* active_;
-  const mesh::ForceSplit* split_;
+  const mesh::SplitPolynomial* poly_;  ///< null: pure Newtonian
   float scale_;
   float soft2_;
   float cutoff2_;

@@ -251,6 +251,30 @@ TEST(WorldFaults, RankLossNamesDeadSourceInRecvDiagnosis) {
   world.clear_failure_schedule();
 }
 
+TEST(WorldLossLatency, DeathIsProvenWithoutWaitingOutPollIntervals) {
+  // A one-second poll interval: a watchdog that waited out its polls
+  // would need at least two seconds to prove the survivor's wedge.
+  WatchdogConfig slow_polls;
+  slow_polls.poll_interval_s = 1.0;
+  World world(2, slow_polls);
+  world.schedule_rank_failure(1, /*op=*/0);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(world.run([](Communicator& comm) {
+                 if (comm.rank() == 0) {
+                   comm.recv_value<int>(1, /*tag=*/3);
+                 } else {
+                   comm.send_value(0, /*tag=*/3, 42);  // op 0: dies
+                 }
+               }),
+               RankLossError);
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(elapsed, 0.5);
+  EXPECT_LT(world.last_loss_latency_seconds(), 0.5);
+  world.clear_failure_schedule();
+}
+
 TEST(WorldFaults, TrueDeadlockStillRaisesPlainDeadlockError) {
   // No failure schedule: a genuine deadlock must NOT be classified as a
   // rank loss.

@@ -19,7 +19,8 @@
 //   3. the four production kernels (density, CRK moments, momentum-
 //      energy, short-range gravity with and without a ForceSplit) run
 //      as built and through ScalarTiles, serially and @8 threads, and
-//      compared byte-for-byte, with LaunchStats parity;
+//      compared byte-for-byte, with LaunchStats parity; the split
+//      polynomial's lane evaluation against its scalar one;
 //   4. the ULP gate for kFused;
 //   5. the engine-selection truth table, the device surface, and
 //      param-file parsing for simd_math.
@@ -570,7 +571,7 @@ TEST_P(SimdDifferentialTest, GravityBitwiseAcrossSchedules) {
   tree::ChainingMesh mesh(cube(6.0), {2.0, 16});
   mesh.build(p);
   const auto pairs = mesh.interaction_pairs(10.0);
-  // Newtonian (fully vectorized) and split (per-lane scalar erfc factor).
+  // Newtonian, and split (the in-lane split polynomial).
   const mesh::ForceSplit split(0.5);
   for (const mesh::ForceSplit* s : {static_cast<const mesh::ForceSplit*>(
                                         nullptr),
@@ -583,6 +584,34 @@ TEST_P(SimdDifferentialTest, GravityBitwiseAcrossSchedules) {
         warp,
         std::string("gravity ") + (s ? "split" : "newtonian") + " w" +
             std::to_string(warp));
+  }
+}
+
+TEST(SimdSplitPolynomial, LanesMatchScalarBitwise) {
+  // ShortRangeKernel::split_factor_simd under exact math against
+  // SplitPolynomial::evaluate, lane by lane, on 2^20 radii spanning
+  // [0, cutoff) for a short and a long polynomial.
+  constexpr std::uint32_t kRadii = 1u << 20;
+  for (const double threshold : {1e-3, 1e-5}) {
+    const mesh::ForceSplit split(0.5, threshold);
+    const mesh::SplitPolynomial& poly = split.polynomial();
+    std::uint64_t mismatches = 0;
+    alignas(32) float r2[simd::kWidth];
+    alignas(32) float lanes[simd::kWidth];
+    for (std::uint32_t base = 0; base < kRadii; base += simd::kWidth) {
+      for (std::uint32_t l = 0; l < simd::kWidth; ++l) {
+        const float r = static_cast<float>(split.cutoff() * (base + l) / kRadii);
+        r2[l] = r * r;
+      }
+      simd::store(lanes,
+                  gravity::ShortRangeKernel::split_factor_simd<simd::ExactMath>(
+                      poly, simd::load_aligned(r2)));
+      for (std::uint32_t l = 0; l < simd::kWidth; ++l) {
+        if (bits_of(lanes[l]) != bits_of(poly.evaluate(r2[l]))) ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "threshold " << threshold << ", "
+                              << poly.terms << " terms";
   }
 }
 
@@ -801,6 +830,13 @@ TEST(SimdFusedMath, UlpBoundedAgainstScalar) {
                      run_gravity(gp, gmesh, gpairs, nullptr, fused, fused_cfg,
                                  nullptr, nullptr),
                      "gravity");
+  // The split polynomial's Horner steps fuse too.
+  const mesh::ForceSplit split(0.5);
+  expect_ulp_bounded(run_gravity(gp, gmesh, gpairs, &split, scalar,
+                                 scalar_cfg, nullptr, nullptr),
+                     run_gravity(gp, gmesh, gpairs, &split, fused, fused_cfg,
+                                 nullptr, nullptr),
+                     "gravity split");
 }
 
 TEST(SimdFusedMath, FusedStaysDeterministicAcrossThreads) {
