@@ -60,20 +60,26 @@ void ForceSplit::fit_polynomial() {
   const double r_fit3 = r_fit * r_fit * r_fit;
 
   // Chebyshev interpolation of h(t) = (1 - f_s(r)) / r^3 at the kNodes
-  // first-kind nodes. No node sits at r = 0.
-  std::array<double, kNodes> value{};
+  // first-kind nodes t_j: cheb[k] = (2 / kNodes) sum_j h(t_j) T_k(t_j),
+  // halved for k = 0, with T_k(t_j) from the recurrence
+  // T_k = 2 t T_{k-1} - T_{k-2}. No node sits at r = 0.
+  std::array<double, kNodes> cheb{};
   for (std::uint32_t j = 0; j < kNodes; ++j) {
     const double t = std::cos(std::numbers::pi * (j + 0.5) / kNodes);
     const double r = std::sqrt((t + 1.0) * inv_t_scale);
-    value[j] = (1.0 - short_range_factor(r)) / (r * r * r);
-  }
-  std::array<double, kNodes> cheb{};
-  for (std::uint32_t k = 0; k < kNodes; ++k) {
-    double sum = 0.0;
-    for (std::uint32_t j = 0; j < kNodes; ++j) {
-      sum += value[j] * std::cos(std::numbers::pi * k * (j + 0.5) / kNodes);
+    const double value = (1.0 - short_range_factor(r)) / (r * r * r);
+    double t_prev = 1.0, t_cur = t;
+    cheb[0] += value;
+    cheb[1] += value * t;
+    for (std::uint32_t k = 2; k < kNodes; ++k) {
+      const double t_next = 2.0 * t * t_cur - t_prev;
+      cheb[k] += value * t_next;
+      t_prev = t_cur;
+      t_cur = t_next;
     }
-    cheb[k] = (k == 0 ? 1.0 : 2.0) * sum / kNodes;
+  }
+  for (std::uint32_t k = 0; k < kNodes; ++k) {
+    cheb[k] *= (k == 0 ? 1.0 : 2.0) / kNodes;
   }
 
   // Fewest terms whose dropped tail stays within the truncation share.
@@ -88,7 +94,7 @@ void ForceSplit::fit_polynomial() {
   }
 
   // Monomial coefficients sum_k cheb[k] T_k(t); row k of `chebyshev`
-  // holds T_k's, from the recurrence T_k = 2 t T_{k-1} - T_{k-2}.
+  // holds T_k's, from the same recurrence.
   std::array<std::array<double, kNodes>, kNodes> chebyshev{};
   chebyshev[0][0] = 1.0;
   if (terms > 1) chebyshev[1][1] = 1.0;
