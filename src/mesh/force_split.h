@@ -22,11 +22,11 @@
 //
 //   f~_s(r) = 1 - r^3 P(t),   t = 2 r^2 / r_fit^2 - 1,   r in [0, r_fit]
 //
-// where r_fit is the smallest float at or above cutoff() and P is the
-// Chebyshev interpolant of (1 - f_s) / r^3, rewritten in monomial form
-// for Horner evaluation. 1 - f_s starts at (2 / 3 sqrt(pi)) (r / rs)^3
-// and continues in even powers, so the quotient is smooth in t, and the
-// r^3 factor makes f~_s(0) exactly 1. The term count grows as the
+// where r_fit is the next float above cutoff() rounded to float and P is
+// the Chebyshev interpolant of (1 - f_s) / r^3, rewritten in monomial
+// form for Horner evaluation. 1 - f_s = (r / rs)^3 / (6 sqrt(pi)) times
+// a power series in r^2, so the quotient is smooth in t, and the r^3
+// factor makes f~_s(0) exactly 1. The term count grows as the
 // threshold shrinks (12 at 1e-2, 13 at 1e-3, 15 at 1e-4, 16 at 1e-5).
 // |f~_s - f_s| stays within kApproxTolerance on every float r in
 // [0, cutoff()); its floor of ~1e-6 is the float rounding of 1 - r^3 P

@@ -202,17 +202,19 @@ double split_direct_sum_deviation(std::uint64_t seed, int count, double box,
 TEST(ShortRange, SplitMatchesDirectSumReference) {
   // The float split polynomial deviates from the double direct sum no
   // more than the double erfc/exp factor it replaced did on the same
-  // setups: 2.643168e-6 and 1.861381e-3, rounded up at the fifth digit.
-  // Both are dominated by the pair tails beyond the cutoff.
+  // setups: 2.643168e-6 and 2.729464e-6, rounded up at the fifth digit.
+  // Both include the pair tails beyond the cutoff, which the direct sum
+  // keeps. The bins cover the cutoff (ConservesMomentum's 1.0-wide bins
+  // do not, and an overloaded mesh's stencil then drops pairs inside it).
   const double reference_setup =
       split_direct_sum_deviation(12, 120, 4.0, 4.0, 0.5, 0.1f);
   const double momentum_setup =
-      split_direct_sum_deviation(13, 200, 3.0, 1.0, 0.3, 0.05f);
+      split_direct_sum_deviation(13, 200, 3.0, 2.0, 0.3, 0.05f);
   std::printf("split vs direct sum: max deviation %.6e (rs 0.5), %.6e "
               "(rs 0.3)\n",
               reference_setup, momentum_setup);
   EXPECT_LE(reference_setup, 2.6432e-6);
-  EXPECT_LE(momentum_setup, 1.8614e-3);
+  EXPECT_LE(momentum_setup, 2.7295e-6);
 }
 
 TEST(ShortRange, ConservesMomentum) {
