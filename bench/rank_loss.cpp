@@ -152,6 +152,8 @@ struct PairOutcome {
   double recovery_s = 0.0;
   double restart_s = 0.0;
   bool ok = true;
+
+  double ratio() const { return restart_s > 0.0 ? recovery_s / restart_s : 0.0; }
 };
 
 PairOutcome run_pair(const fs::path& root, const core::SimConfig& config,
@@ -227,9 +229,7 @@ PairOutcome run_pair(const fs::path& root, const core::SimConfig& config,
               "shrunken relaunch to completion), restart %0.3f s -> %0.2fx, "
               "re-entry %s\n",
               static_cast<unsigned long long>(resume_step), out.recovery_s,
-              out.restart_s,
-              out.restart_s > 0.0 ? out.recovery_s / out.restart_s : 0.0,
-              out.ok ? "bitwise identical on both survivors" : "FAILED");
+              out.restart_s, out.ratio(), out.ok ? "bitwise identical on both survivors" : "FAILED");
   return out;
 }
 
@@ -280,9 +280,7 @@ int main(int argc, char** argv) {
         run_pair(root / ("pair" + std::to_string(pair)), config, ranks,
                  kill_op, fast_watchdog);
     ok = ok && outcome.ok;
-    ratios.push_back(outcome.restart_s > 0.0
-                         ? outcome.recovery_s / outcome.restart_s
-                         : 0.0);
+    ratios.push_back(outcome.ratio());
   }
   if (ok) {
     std::printf("\nre-entry and bookkeeping: every pair passes\n");
