@@ -19,43 +19,23 @@ void DistributedFFT::forward() {
   HACC_TRACE_SPAN("fft_forward");
   const std::size_t nz_local = local_z_count();
   // 2-D (x, y) FFT on every local z-plane.
+  transform_lines(real_.data(), n_, 1, nz_local * n_, n_, false);
   for (std::size_t zl = 0; zl < nz_local; ++zl) {
-    Complex* plane = &real_[zl * n_ * n_];
-    for (std::size_t y = 0; y < n_; ++y) {
-      transform_line(plane + y * n_, n_, 1, false);
-    }
-    for (std::size_t x = 0; x < n_; ++x) {
-      transform_line(plane + x, n_, n_, false);
-    }
+    transform_lines(&real_[zl * n_ * n_], n_, n_, n_, 1, false);
   }
   transpose_z_to_x();
   // 1-D z FFTs (contiguous in the k layout).
-  const std::size_t nx_local = local_kx_count();
-  for (std::size_t xl = 0; xl < nx_local; ++xl) {
-    for (std::size_t y = 0; y < n_; ++y) {
-      transform_line(&k_[(xl * n_ + y) * n_], n_, 1, false);
-    }
-  }
+  transform_lines(k_.data(), n_, 1, local_kx_count() * n_, n_, false);
 }
 
 void DistributedFFT::backward() {
   HACC_TRACE_SPAN("fft_backward");
-  const std::size_t nx_local = local_kx_count();
-  for (std::size_t xl = 0; xl < nx_local; ++xl) {
-    for (std::size_t y = 0; y < n_; ++y) {
-      transform_line(&k_[(xl * n_ + y) * n_], n_, 1, true);
-    }
-  }
+  transform_lines(k_.data(), n_, 1, local_kx_count() * n_, n_, true);
   transpose_x_to_z();
   const std::size_t nz_local = local_z_count();
+  transform_lines(real_.data(), n_, 1, nz_local * n_, n_, true);
   for (std::size_t zl = 0; zl < nz_local; ++zl) {
-    Complex* plane = &real_[zl * n_ * n_];
-    for (std::size_t y = 0; y < n_; ++y) {
-      transform_line(plane + y * n_, n_, 1, true);
-    }
-    for (std::size_t x = 0; x < n_; ++x) {
-      transform_line(plane + x, n_, n_, true);
-    }
+    transform_lines(&real_[zl * n_ * n_], n_, n_, n_, 1, true);
   }
 }
 

@@ -14,12 +14,14 @@
 // in double, short-range solver in single).
 #pragma once
 
+#include <algorithm>
 #include <complex>
 #include <cstddef>
 #include <vector>
 
 #include "comm/world.h"
 #include "fft/fft.h"
+#include "util/assertions.h"
 
 namespace crkhacc::fft {
 
@@ -30,19 +32,19 @@ inline long freq_of(std::size_t i, std::size_t n) {
 }
 
 /// 1-D slab partition of n items over p ranks (balanced, contiguous).
+/// With p > n some ranks own empty slabs.
 struct SlabPartition {
   SlabPartition(std::size_t n, int p) : n_(n), p_(p) {}
   std::size_t start(int rank) const {
     return n_ * static_cast<std::size_t>(rank) / static_cast<std::size_t>(p_);
   }
   std::size_t count(int rank) const { return start(rank + 1) - start(rank); }
-  /// Rank owning global index i.
+  /// Rank owning global index i: the largest r with start(r) <= i, i.e.
+  /// n·r < (i + 1)·p. That rank's slab is never empty.
   int owner(std::size_t i) const {
-    // Inverse of start(): search is fine at our rank counts.
-    for (int r = 0; r < p_; ++r) {
-      if (i >= start(r) && i < start(r + 1)) return r;
-    }
-    return p_ - 1;
+    CHECK(i < n_);
+    const auto p = static_cast<std::size_t>(p_);
+    return static_cast<int>(std::min(p - 1, ((i + 1) * p - 1) / n_));
   }
 
  private:

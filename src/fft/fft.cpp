@@ -1,5 +1,6 @@
 #include "fft/fft.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <map>
@@ -164,33 +165,19 @@ std::shared_ptr<const BluesteinPlan> acquire_bluestein(std::size_t n,
 }
 
 /// Bluestein chirp-z transform for arbitrary n, via a power-of-two
-/// cyclic convolution of length m >= 2n-1.
-void fft_bluestein(Complex* data, std::size_t n, bool inverse) {
-  const auto plan = acquire_bluestein(n, inverse);
-  const std::size_t m = plan->m;
-  std::vector<Complex> a(m, Complex(0.0, 0.0));
-  for (std::size_t k = 0; k < n; ++k) a[k] = data[k] * plan->chirp[k];
+/// cyclic convolution of length m >= 2n-1; `work` holds m values.
+void fft_bluestein(Complex* data, const BluesteinPlan& plan, Complex* work) {
+  const std::size_t n = plan.n;
+  const std::size_t m = plan.m;
+  for (std::size_t k = 0; k < n; ++k) work[k] = data[k] * plan.chirp[k];
+  std::fill(work + n, work + m, Complex(0.0, 0.0));
 
-  fft_pow2(a.data(), m, false, *plan->conv);
-  for (std::size_t k = 0; k < m; ++k) a[k] *= plan->b_fft[k];
-  fft_pow2(a.data(), m, true, *plan->conv);
+  fft_pow2(work, m, false, *plan.conv);
+  for (std::size_t k = 0; k < m; ++k) work[k] *= plan.b_fft[k];
+  fft_pow2(work, m, true, *plan.conv);
   const double inv_m = 1.0 / static_cast<double>(m);
   for (std::size_t k = 0; k < n; ++k) {
-    data[k] = a[k] * inv_m * plan->chirp[k];
-  }
-}
-
-void transform_contiguous(Complex* data, std::size_t n, bool inverse) {
-  if (n <= 1) return;
-  if (is_pow2(n)) {
-    const auto plan = acquire_pow2(n);
-    fft_pow2(data, n, inverse, *plan);
-  } else {
-    fft_bluestein(data, n, inverse);
-  }
-  if (inverse) {
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (std::size_t k = 0; k < n; ++k) data[k] *= inv_n;
+    data[k] = work[k] * inv_m * plan.chirp[k];
   }
 }
 
@@ -217,44 +204,58 @@ void reset_plan_cache_stats() {
 }
 
 void transform(std::vector<Complex>& data, bool inverse) {
-  transform_contiguous(data.data(), data.size(), inverse);
+  transform_lines(data.data(), data.size(), 1, 1, 0, inverse);
 }
 
-void transform_line(Complex* base, std::size_t n, std::size_t stride, bool inverse) {
-  if (stride == 1) {
-    transform_contiguous(base, n, inverse);
-    return;
+void transform_lines(Complex* base, std::size_t n, std::size_t stride,
+                     std::size_t count, std::size_t dist, bool inverse) {
+  if (n <= 1 || count == 0) return;
+  std::shared_ptr<const Pow2Plan> pow2;
+  std::shared_ptr<const BluesteinPlan> bluestein;
+  if (is_pow2(n)) {
+    pow2 = acquire_pow2(n);
+  } else {
+    bluestein = acquire_bluestein(n, inverse);
   }
-  // Gather / transform / scatter. The distributed FFT always arranges
-  // contiguous lines, so this path only serves local 3-D convenience
-  // transforms where the copy cost is acceptable.
-  std::vector<Complex> line(n);
-  for (std::size_t i = 0; i < n; ++i) line[i] = base[i * stride];
-  transform_contiguous(line.data(), n, inverse);
-  for (std::size_t i = 0; i < n; ++i) base[i * stride] = line[i];
+  // One scratch buffer for the batch: the gathered copy of a strided
+  // line, then Bluestein's length-m convolution buffer.
+  const bool strided = stride != 1;
+  const std::size_t gather = strided ? n : 0;
+  std::vector<Complex> scratch(gather + (bluestein ? bluestein->m : 0));
+  Complex* work = scratch.data() + gather;
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (std::size_t j = 0; j < count; ++j) {
+    Complex* line = base + j * dist;
+    Complex* data = line;
+    if (strided) {
+      data = scratch.data();
+      for (std::size_t i = 0; i < n; ++i) data[i] = line[i * stride];
+    }
+    if (pow2) {
+      fft_pow2(data, n, inverse, *pow2);
+    } else {
+      fft_bluestein(data, *bluestein, work);
+    }
+    if (inverse) {
+      for (std::size_t k = 0; k < n; ++k) data[k] *= inv_n;
+    }
+    if (strided) {
+      for (std::size_t i = 0; i < n; ++i) line[i * stride] = data[i];
+    }
+  }
 }
 
 void transform_3d(std::vector<Complex>& data, std::size_t nx, std::size_t ny,
                   std::size_t nz, bool inverse) {
   CHECK(data.size() == nx * ny * nz);
   // x lines (contiguous).
+  transform_lines(data.data(), nx, 1, ny * nz, nx, inverse);
+  // y lines (stride nx), one batch per z plane.
   for (std::size_t z = 0; z < nz; ++z) {
-    for (std::size_t y = 0; y < ny; ++y) {
-      transform_line(&data[(z * ny + y) * nx], nx, 1, inverse);
-    }
-  }
-  // y lines (stride nx).
-  for (std::size_t z = 0; z < nz; ++z) {
-    for (std::size_t x = 0; x < nx; ++x) {
-      transform_line(&data[z * ny * nx + x], ny, nx, inverse);
-    }
+    transform_lines(data.data() + z * ny * nx, ny, nx, nx, 1, inverse);
   }
   // z lines (stride nx*ny).
-  for (std::size_t y = 0; y < ny; ++y) {
-    for (std::size_t x = 0; x < nx; ++x) {
-      transform_line(&data[y * nx + x], nz, nx * ny, inverse);
-    }
-  }
+  transform_lines(data.data(), nz, nx * ny, nx * ny, 1, inverse);
 }
 
 }  // namespace crkhacc::fft

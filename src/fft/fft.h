@@ -23,8 +23,14 @@ using Complex = std::complex<double>;
 /// fft(inverse(x)) == x.
 void transform(std::vector<Complex>& data, bool inverse);
 
-/// In-place transform of a strided line within a larger array.
-void transform_line(Complex* base, std::size_t n, std::size_t stride, bool inverse);
+/// In-place transforms of `count` lines of length n within a larger
+/// array: line j starts at base + j * dist and steps by `stride`. The
+/// plan is acquired once per call and one scratch buffer serves every
+/// line, so a pass over a slab costs one plan lookup, not one per line.
+/// Strided lines are gathered into the scratch buffer, transformed and
+/// scattered back.
+void transform_lines(Complex* base, std::size_t n, std::size_t stride,
+                     std::size_t count, std::size_t dist, bool inverse);
 
 /// True if n is a power of two (and > 0).
 bool is_pow2(std::size_t n);
@@ -40,12 +46,13 @@ void transform_3d(std::vector<Complex>& data, std::size_t nx, std::size_t ny,
 /// Plan-cache accounting. Transforms acquire immutable plans (per-stage
 /// twiddle tables for radix-2 lengths; chirp + pre-transformed
 /// convolution kernel for Bluestein lengths) from a process-wide cache
-/// keyed on (length, direction). Plans are built once and shared by
-/// every Simulation / SimContext in the process; the tables are
-/// generated with the exact recurrence the uncached loop used, so cached
-/// and uncached transforms are bitwise identical.
+/// keyed on (length, direction), once per `transform` / `transform_lines`
+/// call. Plans are built once and shared by every Simulation /
+/// SimContext in the process; the tables are generated with the exact
+/// recurrence the uncached loop used, so cached and uncached transforms
+/// are bitwise identical.
 struct PlanCacheStats {
-  std::uint64_t hits = 0;    ///< transforms served by an existing plan
+  std::uint64_t hits = 0;    ///< calls served by an existing plan
   std::uint64_t misses = 0;  ///< plans built (one per distinct key)
 };
 

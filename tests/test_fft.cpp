@@ -220,5 +220,28 @@ TEST(SlabPartition, MoreRanksThanItems) {
   EXPECT_EQ(total, 3u);
 }
 
+TEST(SlabPartition, OwnerMatchesStartAndCountForEveryShape) {
+  // Exhaustive over n 1..70 and p 1..80, so p > n (empty slabs) is
+  // covered: the closed-form owner must name the one slab holding i.
+  for (std::size_t n = 1; n <= 70; ++n) {
+    for (int p = 1; p <= 80; ++p) {
+      const SlabPartition part(n, p);
+      for (std::size_t i = 0; i < n; ++i) {
+        const int r = part.owner(i);
+        ASSERT_GE(r, 0) << "n=" << n << " p=" << p << " i=" << i;
+        ASSERT_LT(r, p) << "n=" << n << " p=" << p << " i=" << i;
+        ASSERT_GE(i, part.start(r)) << "n=" << n << " p=" << p << " i=" << i;
+        ASSERT_LT(i, part.start(r) + part.count(r))
+            << "n=" << n << " p=" << p << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(SlabPartitionDeathTest, OwnerRejectsIndexPastTheEnd) {
+  const SlabPartition part(12, 5);
+  EXPECT_DEATH(part.owner(12), "CHECK failed");
+}
+
 }  // namespace
 }  // namespace crkhacc::fft
