@@ -1,8 +1,10 @@
 #include "mesh/pm_solver.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
-#include <unordered_map>
 
 #include "cosmology/units.h"
 #include "util/assertions.h"
@@ -24,10 +26,69 @@ struct CellContribution {
   double value;
 };
 
-/// One fetched force plane: global z index + 3*ng*ng force values.
-struct PlaneHeader {
-  std::int64_t plane;
+/// Periodic wrap of a (possibly out-of-box) cell index into [0, ng).
+std::size_t wrap_cell(long c, std::size_t ng) {
+  long m = c % static_cast<long>(ng);
+  if (m < 0) m += static_cast<long>(ng);
+  return static_cast<std::size_t>(m);
+}
+
+/// The cells the CIC stencils of a particle set read.
+struct Footprint {
+  /// Distinct global cell ids (z*ng + y)*ng + x, ascending.
+  std::vector<std::uint64_t> cells;
+  /// slot[8*i + (dz*2 + dy)*2 + dx]: index into `cells` of particle i's
+  /// stencil corner (dx, dy, dz).
+  std::vector<std::uint32_t> slot;
 };
+
+Footprint stencil_footprint(const Particles& particles, std::size_t ng,
+                            double cell, util::ThreadPool* pool) {
+  struct Corner {
+    std::uint64_t cell;
+    std::uint32_t at;  ///< index into Footprint::slot
+  };
+  const std::size_t n = particles.size();
+  CHECK(8 * n <= std::numeric_limits<std::uint32_t>::max());
+  std::vector<Corner> corners(8 * n);
+  auto collect = [&](std::size_t lo, std::size_t hi, std::size_t) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const CicAxis axis_x = cic_axis(particles.x[i], cell);
+      const CicAxis axis_y = cic_axis(particles.y[i], cell);
+      const CicAxis axis_z = cic_axis(particles.z[i], cell);
+      std::size_t at = 8 * i;
+      for (int dz = 0; dz < 2; ++dz) {
+        const std::size_t cz = wrap_cell(axis_z.cell + dz, ng);
+        for (int dy = 0; dy < 2; ++dy) {
+          const std::size_t cy = wrap_cell(axis_y.cell + dy, ng);
+          for (int dx = 0; dx < 2; ++dx) {
+            const std::size_t cx = wrap_cell(axis_x.cell + dx, ng);
+            corners[at] = Corner{(static_cast<std::uint64_t>(cz) * ng + cy) * ng + cx,
+                                 static_cast<std::uint32_t>(at)};
+            ++at;
+          }
+        }
+      }
+    }
+  };
+  if (pool && pool->num_threads() > 1) {
+    pool->parallel_for(0, n, 1024, collect);
+  } else {
+    collect(0, n, 0);
+  }
+  std::sort(corners.begin(), corners.end(),
+            [](const Corner& a, const Corner& b) { return a.cell < b.cell; });
+  Footprint footprint;
+  footprint.slot.resize(8 * n);
+  for (const Corner& corner : corners) {
+    if (footprint.cells.empty() || footprint.cells.back() != corner.cell) {
+      footprint.cells.push_back(corner.cell);
+    }
+    footprint.slot[corner.at] =
+        static_cast<std::uint32_t>(footprint.cells.size() - 1);
+  }
+  return footprint;
+}
 
 }  // namespace
 
@@ -38,10 +99,9 @@ CicAxis cic_axis(double position, double cell_size) {
 }
 
 PMSolver::PMSolver(comm::Communicator& comm,
-                   const comm::CartDecomposition& decomp, const PMConfig& config)
-    : comm_(comm),
-      decomp_(decomp),
-      config_(config),
+                   const comm::CartDecomposition& /*decomp*/,
+                   const PMConfig& config)
+    : config_(config),
       split_(config.rs_cells * config.box / static_cast<double>(config.ng),
              config.split_threshold),
       fft_(comm, config.ng) {
@@ -82,12 +142,6 @@ std::vector<double> PMSolver::deposit(comm::Communicator& comm,
   const double cell_volume = cell * cell * cell;
   const auto& zpart = fft_.z_partition();
 
-  auto wrap_cell = [ng](long c) {
-    long m = c % static_cast<long>(ng);
-    if (m < 0) m += static_cast<long>(ng);
-    return static_cast<std::size_t>(m);
-  };
-
   // Per-chunk deposit batches, merged in fixed chunk order. The chunk
   // decomposition depends only on the particle count, and both serial and
   // pooled paths walk the same chunks, so the send streams and the
@@ -113,14 +167,14 @@ std::vector<double> PMSolver::deposit(comm::Communicator& comm,
       const CicAxis axis_z = cic_axis(particles.z[i], cell);
       const double rho = particles.mass[i] / cell_volume;
       for (int dz = 0; dz < 2; ++dz) {
-        const std::size_t cz = wrap_cell(axis_z.cell + dz);
+        const std::size_t cz = wrap_cell(axis_z.cell + dz, ng);
         const double wz = dz ? axis_z.w_hi : 1.0 - axis_z.w_hi;
         const int owner = zpart.owner(cz);
         for (int dy = 0; dy < 2; ++dy) {
-          const std::size_t cy = wrap_cell(axis_y.cell + dy);
+          const std::size_t cy = wrap_cell(axis_y.cell + dy, ng);
           const double wy = dy ? axis_y.w_hi : 1.0 - axis_y.w_hi;
           for (int dx = 0; dx < 2; ++dx) {
-            const std::size_t cx = wrap_cell(axis_x.cell + dx);
+            const std::size_t cx = wrap_cell(axis_x.cell + dx, ng);
             const double wx = dx ? axis_x.w_hi : 1.0 - axis_x.w_hi;
             out.sends[static_cast<std::size_t>(owner)].push_back(
                 CellContribution{
@@ -196,7 +250,7 @@ std::vector<fft::Complex> PMSolver::overdensity_spectrum(
 }
 
 void PMSolver::apply(comm::Communicator& comm, Particles& particles,
-                     double overload) {
+                     double /*overload*/) {
   const std::size_t ng = config_.ng;
   const double cell = config_.box / static_cast<double>(ng);
 
@@ -237,104 +291,84 @@ void PMSolver::apply(comm::Communicator& comm, Particles& particles,
     for (std::size_t s = 0; s < fd.size(); ++s) fd[s] = out[s].real();
   }
 
-  // 5. Fetch the force planes covering this rank's overloaded box.
+  // 5. Fetch the force at every cell the local CIC stencils read: owned
+  // cells straight from the slab, the rest from their slab owners, three
+  // doubles per cell in request order.
   util::TraceRecorder::Span fetch_span(util::TraceRecorder::current(),
-                                       "pm_fetch_planes");
-  const auto obox = decomp_.overloaded_box(comm.rank(), overload);
-  // CIC at position z touches cells floor(z/cell - 0.5) and +1; pad by one.
-  const long plane_lo = static_cast<long>(std::floor(obox.lo[2] / cell - 0.5)) - 1;
-  const long plane_hi = static_cast<long>(std::floor(obox.hi[2] / cell - 0.5)) + 2;
-  std::vector<std::int64_t> needed;
-  {
-    std::vector<bool> seen(ng, false);
-    for (long pz = plane_lo; pz <= plane_hi; ++pz) {
-      long m = pz % static_cast<long>(ng);
-      if (m < 0) m += static_cast<long>(ng);
-      if (!seen[static_cast<std::size_t>(m)]) {
-        seen[static_cast<std::size_t>(m)] = true;
-        needed.push_back(m);
-      }
-    }
-  }
-
-  // Everybody learns everybody's needs, then serves planes it owns.
-  std::vector<std::uint8_t> needed_bytes(needed.size() * sizeof(std::int64_t));
-  std::memcpy(needed_bytes.data(), needed.data(), needed_bytes.size());
-  auto all_needs = comm.allgather_bytes(needed_bytes);
-
+                                       "pm_fetch");
+  const Footprint footprint = stencil_footprint(particles, ng, cell, pool_);
+  const auto& cells = footprint.cells;
   const auto& zpart = fft_.z_partition();
-  const std::size_t z0 = fft_.local_z_start();
-  const std::size_t plane_doubles = 3 * ng * ng;
+  const std::size_t plane = ng * ng;
+  const std::size_t slab_lo = fft_.local_z_start() * plane;
+  const std::size_t slab_hi = slab_lo + nz_local * plane;
+  auto read_owned = [&](std::uint64_t id, double* out) {
+    CHECK(id >= slab_lo && id < slab_hi);
+    const std::size_t s = static_cast<std::size_t>(id) - slab_lo;
+    for (std::size_t c = 0; c < 3; ++c) out[c] = force[c][s];
+  };
+  // Cell ids are z-major, so each slab owner's cells form one run of the
+  // sorted footprint: [first[d], first[d + 1]).
   const int p = comm.size();
-  std::vector<std::vector<double>> plane_sends(static_cast<std::size_t>(p));
+  std::vector<std::size_t> first(static_cast<std::size_t>(p) + 1);
+  for (int d = 0; d <= p; ++d) {
+    const std::uint64_t lo = zpart.start(d) * plane;
+    first[static_cast<std::size_t>(d)] = static_cast<std::size_t>(
+        std::lower_bound(cells.begin(), cells.end(), lo) - cells.begin());
+  }
+  std::vector<double> values(3 * cells.size());
+  std::vector<std::vector<std::uint64_t>> requests(static_cast<std::size_t>(p));
   for (int d = 0; d < p; ++d) {
-    const auto& raw = all_needs[static_cast<std::size_t>(d)];
-    const std::size_t count = raw.size() / sizeof(std::int64_t);
-    const auto* planes = reinterpret_cast<const std::int64_t*>(raw.data());
-    auto& buf = plane_sends[static_cast<std::size_t>(d)];
-    for (std::size_t q = 0; q < count; ++q) {
-      const auto pz = static_cast<std::size_t>(planes[q]);
-      if (zpart.owner(pz) != comm.rank()) continue;
-      buf.push_back(static_cast<double>(pz));  // header: plane index
-      const std::size_t base = (pz - z0) * ng * ng;
-      for (int c = 0; c < 3; ++c) {
-        const auto& fc = force[static_cast<std::size_t>(c)];
-        buf.insert(buf.end(), fc.begin() + static_cast<std::ptrdiff_t>(base),
-                   fc.begin() + static_cast<std::ptrdiff_t>(base + ng * ng));
+    const auto lo = static_cast<std::ptrdiff_t>(first[static_cast<std::size_t>(d)]);
+    const auto hi = static_cast<std::ptrdiff_t>(first[static_cast<std::size_t>(d) + 1]);
+    if (d == comm.rank()) {
+      for (auto u = lo; u < hi; ++u) {
+        read_owned(cells[static_cast<std::size_t>(u)],
+                   &values[3 * static_cast<std::size_t>(u)]);
       }
+    } else {
+      requests[static_cast<std::size_t>(d)].assign(cells.begin() + lo,
+                                                   cells.begin() + hi);
     }
   }
-  auto plane_recvs = comm.alltoallv(plane_sends);
-
-  // Assemble plane index -> local storage offset.
-  std::unordered_map<std::size_t, std::size_t> plane_offset;
-  std::vector<double> fetched;
-  for (const auto& batch : plane_recvs) {
-    std::size_t r = 0;
-    while (r < batch.size()) {
-      const auto pz = static_cast<std::size_t>(batch[r]);
-      ++r;
-      CHECK(r + plane_doubles <= batch.size() + 0);
-      plane_offset[pz] = fetched.size();
-      fetched.insert(fetched.end(), batch.begin() + static_cast<std::ptrdiff_t>(r),
-                     batch.begin() + static_cast<std::ptrdiff_t>(r + plane_doubles));
-      r += plane_doubles;
+  const auto asked = comm.alltoallv(requests);
+  std::vector<std::vector<double>> answers(static_cast<std::size_t>(p));
+  for (std::size_t s = 0; s < asked.size(); ++s) {
+    answers[s].resize(3 * asked[s].size());
+    for (std::size_t q = 0; q < asked[s].size(); ++q) {
+      read_owned(asked[s][q], &answers[s][3 * q]);
     }
   }
-
+  const auto answered = comm.alltoallv(answers);
+  for (int d = 0; d < p; ++d) {
+    if (d == comm.rank()) continue;
+    const auto& got = answered[static_cast<std::size_t>(d)];
+    const std::size_t lo = first[static_cast<std::size_t>(d)];
+    CHECK(got.size() == 3 * (first[static_cast<std::size_t>(d) + 1] - lo));
+    std::copy(got.begin(), got.end(), values.begin() + static_cast<std::ptrdiff_t>(3 * lo));
+  }
   fetch_span.close();
 
-  // 6. CIC interpolation for every local particle (ghosts included).
+  // 6. CIC interpolation for every local particle (ghosts included), in
+  // the deposit's corner order.
   HACC_TRACE_SPAN("pm_interpolate");
-  auto wrap_cell = [ng](long c) {
-    long m = c % static_cast<long>(ng);
-    if (m < 0) m += static_cast<long>(ng);
-    return static_cast<std::size_t>(m);
-  };
   // Per-particle gather with disjoint writes; thread-count independent.
   const std::size_t n = particles.size();
   auto interpolate_one = [&](std::size_t i) {
     const CicAxis axis_x = cic_axis(particles.x[i], cell);
     const CicAxis axis_y = cic_axis(particles.y[i], cell);
     const CicAxis axis_z = cic_axis(particles.z[i], cell);
+    const std::uint32_t* slot = &footprint.slot[8 * i];
     double f[3] = {0.0, 0.0, 0.0};
     for (int dz = 0; dz < 2; ++dz) {
-      const std::size_t cz = wrap_cell(axis_z.cell + dz);
       const double wz = dz ? axis_z.w_hi : 1.0 - axis_z.w_hi;
-      const auto it = plane_offset.find(cz);
-      CHECK_MSG(it != plane_offset.end(), "force plane not fetched");
-      const double* plane = fetched.data() + it->second;
       for (int dy = 0; dy < 2; ++dy) {
-        const std::size_t cy = wrap_cell(axis_y.cell + dy);
         const double wy = dy ? axis_y.w_hi : 1.0 - axis_y.w_hi;
         for (int dx = 0; dx < 2; ++dx) {
-          const std::size_t cx = wrap_cell(axis_x.cell + dx);
           const double wx = dx ? axis_x.w_hi : 1.0 - axis_x.w_hi;
           const double w = wz * wy * wx;
-          const std::size_t idx = cy * ng + cx;
-          for (int c = 0; c < 3; ++c) {
-            f[c] += w * plane[static_cast<std::size_t>(c) * ng * ng + idx];
-          }
+          const double* v = &values[3 * static_cast<std::size_t>(*slot++)];
+          for (int c = 0; c < 3; ++c) f[c] += w * v[c];
         }
       }
     }

@@ -56,8 +56,8 @@ class PMSolver {
 
   /// Full long-range solve: overwrites (ax, ay, az) for every local
   /// particle with the filtered mesh acceleration (comoving, includes G).
-  /// `overload` is the ghost-layer width of the caller's domain, used to
-  /// size the fetched force planes.
+  /// `overload`, the ghost-layer width of the caller's domain, sizes
+  /// nothing: the fetch follows the particles' own CIC stencils.
   void apply(comm::Communicator& comm, Particles& particles, double overload);
 
   /// Deposit-only entry point: returns this rank's slab of the global
@@ -82,8 +82,6 @@ class PMSolver {
   /// frequency indices (ix, iy, iz).
   double greens(std::size_t ix, std::size_t iy, std::size_t iz) const;
 
-  comm::Communicator& comm_;
-  const comm::CartDecomposition& decomp_;
   PMConfig config_;
   ForceSplit split_;
   fft::DistributedFFT fft_;

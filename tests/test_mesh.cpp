@@ -2,11 +2,17 @@
 // interpolation, and the PM + short-range force-split accuracy.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <mutex>
+#include <utility>
+#include <vector>
 
 #include "comm/world.h"
 #include "core/particles.h"
 #include "cosmology/units.h"
+#include "fft/distributed_fft.h"
 #include "gpu/device.h"
 #include "gravity/short_range.h"
 #include "mesh/pm_solver.h"
@@ -129,48 +135,157 @@ TEST(PmSolver, ForceSplitRecoversNewtonianPairForce) {
 }
 
 TEST(PmSolver, ForceIndependentOfRankCount) {
-  // The same particle cloud split over 1 vs 8 ranks gets the same mesh
-  // forces (the distributed deposit/solve/interpolate pipeline is exact).
+  // The same clustered cloud split over 1, 2, 3, 4 and 8 ranks gets the
+  // same mesh forces: the distributed deposit/solve/fetch/interpolate
+  // pipeline is exact up to summation order. The cloud fills the 5-cell
+  // cube [0.5, 5.5)^2 x [1.5, 6.5) near the origin, so at 8 ranks one
+  // rank owns it all and the four ranks above z = 8 hold nothing; its
+  // stencils straddle the 2-plane slabs; and every rank also carries the
+  // ghost replicas its overloaded box covers, at out-of-box coordinates
+  // across the periodic edge included, which must read the cells their
+  // owners read.
   const double box = 16.0;
+  const double overload = 1.0;
   SplitMix64 rng(31);
-  std::vector<std::array<float, 3>> cloud(64);
+  std::vector<std::array<float, 3>> cloud(96);
   for (auto& pos : cloud) {
     for (int d = 0; d < 3; ++d) {
-      pos[d] = static_cast<float>(rng.next_double() * box);
+      const double lo = d == 2 ? 1.5 : 0.5;
+      pos[d] = static_cast<float>(lo + 5.0 * rng.next_double());
     }
   }
 
+  struct RankForces {
+    std::vector<std::array<float, 3>> owned;  ///< by cloud index
+    /// (cloud index, force) of every ghost replica on any rank.
+    std::vector<std::pair<std::size_t, std::array<float, 3>>> ghosts;
+    int empty_ranks = 0;
+    std::size_t out_of_box_ghosts = 0;
+  };
   auto forces_with_ranks = [&](int ranks) {
-    std::vector<std::array<float, 3>> forces(cloud.size());
+    RankForces out;
+    out.owned.resize(cloud.size());
     std::mutex mutex;
     comm::World world(ranks);
     world.run([&](comm::Communicator& comm) {
       const comm::CartDecomposition decomp(comm.size(), box);
+      const auto obox = decomp.overloaded_box(comm.rank(), overload);
       PMSolver pm(comm, decomp, PMConfig{16, box, 1.5});
       Particles p;
+      std::size_t out_of_box = 0;
       for (std::size_t i = 0; i < cloud.size(); ++i) {
         const std::array<double, 3> pos{cloud[i][0], cloud[i][1], cloud[i][2]};
-        if (decomp.owner_of(pos) != comm.rank()) continue;
-        p.push_back(i, Species::kDarkMatter, cloud[i][0], cloud[i][1],
-                    cloud[i][2], 0, 0, 0, 1.5f);
+        const bool owned = decomp.owner_of(pos) == comm.rank();
+        if (owned) {
+          p.push_back(i, Species::kDarkMatter, cloud[i][0], cloud[i][1],
+                      cloud[i][2], 0, 0, 0, 1.5f);
+        }
+        // Ghost replicas: every periodic image in the overloaded box
+        // except the owned particle itself.
+        for (int s = 0; s < 27; ++s) {
+          const std::array<int, 3> shift{s % 3 - 1, s / 3 % 3 - 1, s / 9 - 1};
+          if (owned && shift == std::array<int, 3>{0, 0, 0}) continue;
+          std::array<float, 3> image{};
+          std::array<double, 3> at{};
+          for (int d = 0; d < 3; ++d) {
+            image[d] = static_cast<float>(pos[d] + shift[d] * box);
+            at[d] = image[d];
+          }
+          if (!obox.contains(at)) continue;
+          const std::size_t g = p.push_back(i, Species::kDarkMatter, image[0],
+                                            image[1], image[2], 0, 0, 0, 1.5f);
+          p.ghost[g] = 1;
+          if (shift != std::array<int, 3>{0, 0, 0}) ++out_of_box;
+        }
       }
-      pm.apply(comm, p, 0.5);
+      pm.apply(comm, p, overload);
       std::lock_guard<std::mutex> lock(mutex);
+      if (p.empty()) ++out.empty_ranks;
+      out.out_of_box_ghosts += out_of_box;
       for (std::size_t k = 0; k < p.size(); ++k) {
-        forces[p.id[k]] = {p.ax[k], p.ay[k], p.az[k]};
+        const std::array<float, 3> f{p.ax[k], p.ay[k], p.az[k]};
+        if (p.is_owned(k)) {
+          out.owned[p.id[k]] = f;
+        } else {
+          out.ghosts.emplace_back(p.id[k], f);
+        }
       }
     });
-    return forces;
+    return out;
   };
 
-  const auto serial = forces_with_ranks(1);
-  const auto parallel = forces_with_ranks(8);
-  for (std::size_t i = 0; i < cloud.size(); ++i) {
+  auto expect_close = [](const std::array<float, 3>& got,
+                         const std::array<float, 3>& want, const char* what,
+                         int ranks, std::size_t i) {
     for (int d = 0; d < 3; ++d) {
-      const double scale = std::abs(serial[i][d]) + 1e-4;
-      EXPECT_NEAR(parallel[i][d], serial[i][d], 1e-4 * scale);
+      const double scale = std::abs(want[d]) + 1e-4;
+      EXPECT_NEAR(got[d], want[d], 1e-4 * scale)
+          << what << " " << i << " axis " << d << " at " << ranks << " ranks";
+    }
+  };
+  const auto serial = forces_with_ranks(1);
+  for (int ranks : {2, 3, 4, 8}) {
+    const auto parallel = forces_with_ranks(ranks);
+    for (std::size_t i = 0; i < cloud.size(); ++i) {
+      expect_close(parallel.owned[i], serial.owned[i], "particle", ranks, i);
+    }
+    for (const auto& [i, force] : parallel.ghosts) {
+      expect_close(force, serial.owned[i], "ghost of", ranks, i);
+    }
+    EXPECT_GT(parallel.out_of_box_ghosts, 0u) << ranks << " ranks";
+    if (ranks == 8) {
+      EXPECT_EQ(parallel.empty_ranks, 4);
     }
   }
+}
+
+TEST(PmSolver, FetchBytesScaleWithOccupiedCells) {
+  // One particle on a 4-rank 64^3 mesh: beyond its deposit and the
+  // transforms' transposes, apply ships only the force at the stencil
+  // cells another rank owns, an 8-byte id out and three doubles back per
+  // cell. The stencil straddles the z = 16 slab boundary, so at least
+  // one of its two 2x2 planes is remote.
+  comm::World world(4);
+  world.run([](comm::Communicator& comm) {
+    const double box = 64.0;
+    const std::size_t ng = 64;
+    const comm::CartDecomposition decomp(comm.size(), box);
+    PMSolver pm(comm, decomp, PMConfig{ng, box, 1.5});
+    Particles p;
+    double remote_cells = 0.0;
+    const std::array<double, 3> pos{20.3, 40.7, 16.0};
+    if (decomp.owner_of(pos) == comm.rank()) {
+      p.push_back(0, Species::kDarkMatter, static_cast<float>(pos[0]),
+                  static_cast<float>(pos[1]), static_cast<float>(pos[2]), 0,
+                  0, 0, 1.0f);
+      for (std::size_t plane : {15, 16}) {
+        if (pm.fft().z_partition().owner(plane) != comm.rank()) {
+          remote_cells += 4.0;
+        }
+      }
+      EXPECT_GT(remote_cells, 0.0);
+    }
+    auto bytes_of = [&](auto&& work) {
+      const std::uint64_t before = comm.bytes_sent();
+      work();
+      return comm.bytes_sent() - before;
+    };
+    const std::uint64_t deposit = bytes_of([&] { pm.deposit(comm, p); });
+    fft::DistributedFFT fft(comm, ng);
+    const std::uint64_t transforms = bytes_of([&] {
+      fft.forward();
+      for (int d = 0; d < 3; ++d) fft.backward();
+    });
+    const std::uint64_t apply = bytes_of([&] { pm.apply(comm, p, 8.0); });
+    ASSERT_GE(apply, deposit + transforms);
+    const double fetch = comm.allreduce_scalar(
+        static_cast<double>(apply - deposit - transforms),
+        comm::ReduceOp::kSum);
+    const double expected =
+        comm.allreduce_scalar(remote_cells, comm::ReduceOp::kSum) *
+        (sizeof(std::uint64_t) + 3 * sizeof(double));
+    EXPECT_EQ(fetch, expected);
+  });
 }
 
 TEST(PmSolver, GhostParticlesReceiveForces) {
