@@ -4,12 +4,26 @@
 // 12,600^3 mesh (two trillion cells) via HACC's SWFFT, which repartitions
 // between the 3-D block layout used by the particle solver and the
 // slab/pencil layouts FFTs need. This class implements the same pattern
-// in miniature over the in-process communicator:
+// in miniature over the in-process communicator, with slabs only:
 //
-//   real space:  z-slabs,  local array (z_local, y, x), x fastest
-//   k space:     x-slabs,  local array (x_local, y, z), z fastest
+//   real space:    z-slabs, local array (z_local, y, x), x fastest
+//   k space:       x-slabs, local array (x_local, y, z), z fastest
+//   half spectrum: kx = 0..n/2 only, split over ranks by its own
+//                  SlabPartition of n/2 + 1, local array (x_local, y, z)
 //
-// forward() = per-plane 2-D FFTs + global alltoallv transpose + 1-D z FFTs.
+// forward() = per-plane 2-D FFTs + global alltoallv transpose + 1-D z FFTs
+// on complex data. forward_real() does the same for a real field: each
+// z-plane's x rows are transformed two real rows per complex transform,
+// only kx <= n/2 is kept (the rest is the Hermitian mirror), and the y
+// pass, the transpose and the z pass run on those n/2 + 1 columns, so
+// they do and ship about half the work. backward_real() is its c2r
+// inverse: the real part of the complex inverse of the Hermitian
+// extension, i.e. the imaginary parts that the extension cannot carry
+// (the kx = 0 and kx = n/2 bins of each row after the z and y passes)
+// are dropped.
+//
+// Buffers are allocated on first use, so a grid that runs only the real
+// transforms never holds the complex ones, and vice versa.
 // All math is FP64, matching the paper's precision split (spectral solver
 // in double, short-range solver in single).
 #pragma once
@@ -62,8 +76,7 @@ class DistributedFFT {
   // Real-space slab (z-slabs): index (z_local, y, x), x fastest.
   std::size_t local_z_start() const { return z_part_.start(comm_.rank()); }
   std::size_t local_z_count() const { return z_part_.count(comm_.rank()); }
-  std::vector<Complex>& real_data() { return real_; }
-  const std::vector<Complex>& real_data() const { return real_; }
+  std::vector<Complex>& real_data();
   std::size_t real_index(std::size_t z_local, std::size_t y, std::size_t x) const {
     return (z_local * n_ + y) * n_ + x;
   }
@@ -71,8 +84,7 @@ class DistributedFFT {
   // k-space slab (x-slabs): index (x_local, y, z), z fastest.
   std::size_t local_kx_start() const { return x_part_.start(comm_.rank()); }
   std::size_t local_kx_count() const { return x_part_.count(comm_.rank()); }
-  std::vector<Complex>& k_data() { return k_; }
-  const std::vector<Complex>& k_data() const { return k_; }
+  std::vector<Complex>& k_data();
   std::size_t k_index(std::size_t x_local, std::size_t y, std::size_t z) const {
     return (x_local * n_ + y) * n_ + z;
   }
@@ -84,20 +96,46 @@ class DistributedFFT {
   /// k_data are consumed.
   void backward();
 
+  /// Real field on the z-slab, indexed like real_data: (z_local, y, x).
+  std::vector<double>& real_field();
+
+  // Half spectrum (x-slabs of kx = 0..n/2): index (x_local, y, z), z
+  // fastest, k_index's layout over half_count() columns.
+  std::size_t half_count() const { return n_ / 2 + 1; }
+  std::size_t local_half_start() const { return half_part_.start(comm_.rank()); }
+  std::size_t local_half_count() const { return half_part_.count(comm_.rank()); }
+  std::vector<Complex>& half_k_data();
+
+  /// real_field -> half_k_data (r2c). Contents of real_field are consumed.
+  void forward_real();
+
+  /// half_k_data -> real_field (c2r, includes the 1/n^3 normalization):
+  /// the real part of backward() applied to the Hermitian extension of
+  /// the half spectrum. Contents of half_k_data are consumed.
+  void backward_real();
+
   const SlabPartition& z_partition() const { return z_part_; }
   const SlabPartition& x_partition() const { return x_part_; }
+  const SlabPartition& half_partition() const { return half_part_; }
 
  private:
-  /// Repartition between z-slab (real layout) and x-slab (k layout).
-  void transpose_z_to_x();
-  void transpose_x_to_z();
+  /// Repartition between a z-slab (z_local, y, x) whose rows hold `row`
+  /// columns and an x-slab (x_local, y, z) of those columns over `xpart`.
+  void transpose_z_to_x(const std::vector<Complex>& slab, std::size_t row,
+                        const SlabPartition& xpart, std::vector<Complex>& out);
+  void transpose_x_to_z(const std::vector<Complex>& xslab,
+                        const SlabPartition& xpart, std::size_t row,
+                        std::vector<Complex>& out);
 
   comm::Communicator& comm_;
   std::size_t n_;
   SlabPartition z_part_;
   SlabPartition x_part_;
+  SlabPartition half_part_;
   std::vector<Complex> real_;
   std::vector<Complex> k_;
+  std::vector<double> field_;
+  std::vector<Complex> half_k_;
 };
 
 }  // namespace crkhacc::fft

@@ -136,6 +136,14 @@ double PMSolver::greens(std::size_t ix, std::size_t iy, std::size_t iz) const {
 
 std::vector<double> PMSolver::deposit(comm::Communicator& comm,
                                       const Particles& particles) {
+  std::vector<double> density;
+  deposit_into(comm, particles, density);
+  return density;
+}
+
+void PMSolver::deposit_into(comm::Communicator& comm,
+                            const Particles& particles,
+                            std::vector<double>& density) {
   HACC_TRACE_SPAN("pm_deposit");
   const std::size_t ng = config_.ng;
   const double cell = config_.box / static_cast<double>(ng);
@@ -209,7 +217,7 @@ std::vector<double> PMSolver::deposit(comm::Communicator& comm,
 
   auto recvs = comm.alltoallv(sends);
   const std::size_t z0 = fft_.local_z_start();
-  std::vector<double> density(fft_.local_z_count() * ng * ng, 0.0);
+  density.assign(fft_.local_z_count() * ng * ng, 0.0);
   for (const auto& batch : recvs) {
     for (const auto& c : batch) {
       const std::size_t cz = static_cast<std::size_t>(c.cell / (ng * ng));
@@ -218,7 +226,6 @@ std::vector<double> PMSolver::deposit(comm::Communicator& comm,
       density[(cz - z0) * ng * ng + rem] += c.value;
     }
   }
-  return density;
 }
 
 std::vector<fft::Complex> PMSolver::overdensity_spectrum(
@@ -254,41 +261,56 @@ void PMSolver::apply(comm::Communicator& comm, Particles& particles,
   const std::size_t ng = config_.ng;
   const double cell = config_.box / static_cast<double>(ng);
 
-  // 1-2. Deposit and transform the overdensity.
-  auto density = deposit(comm, particles);
-  auto& real = fft_.real_data();
-  for (std::size_t s = 0; s < density.size(); ++s) {
-    real[s] = fft::Complex(density[s] - mean_density_, 0.0);
-  }
-  fft_.forward();
-  const std::vector<fft::Complex> rho_k = fft_.k_data();  // saved spectrum
+  // 1-2. Deposit straight into the real slab and transform the
+  // overdensity over the half spectrum.
+  auto& field = fft_.real_field();
+  deposit_into(comm, particles, field);
+  for (double& rho : field) rho -= mean_density_;
+  fft_.forward_real();
 
-  // 3-4. One inverse transform per force component.
-  const std::size_t kx0 = fft_.local_kx_start();
-  const std::size_t nx_local = fft_.local_kx_count();
+  // 3. phi_k = G(k) rho_k, once per mode.
+  const std::size_t kx0 = fft_.local_half_start();
+  const std::size_t nx_local = fft_.local_half_count();
   const std::size_t nz_local = fft_.local_z_count();
+  std::vector<fft::Complex> phi = fft_.half_k_data();
+  {
+    HACC_TRACE_SPAN("pm_greens");
+    for (std::size_t xl = 0; xl < nx_local; ++xl) {
+      for (std::size_t y = 0; y < ng; ++y) {
+        for (std::size_t z = 0; z < ng; ++z) {
+          phi[(xl * ng + y) * ng + z] *= greens(kx0 + xl, y, z);
+        }
+      }
+    }
+  }
+
+  // 4. F_d(k) = -i k_d phi_k and one c2r inverse per force component.
+  // On the Nyquist plane of axis d (even ng) the derivative's sign is
+  // undefined and F_d is zeroed: the Hermitian part of -i k_d phi_k
+  // vanishes there, so a complex inverse's real part drops it too.
   std::array<std::vector<double>, 3> force;
   for (int d = 0; d < 3; ++d) {
     util::TraceRecorder::Span gradient_span(util::TraceRecorder::current(),
                                             "pm_gradient");
-    auto& kdata = fft_.k_data();
+    auto& kdata = fft_.half_k_data();
+    auto k_of = [&](std::size_t i) {
+      return 2 * i == ng ? 0.0 : wavenumber_[i];
+    };
     for (std::size_t xl = 0; xl < nx_local; ++xl) {
+      const double kx = k_of(kx0 + xl);
       for (std::size_t y = 0; y < ng; ++y) {
+        const double ky = k_of(y);
         for (std::size_t z = 0; z < ng; ++z) {
-          const double g = greens(kx0 + xl, y, z);
-          const double kd = wavenumber_[(d == 0) ? kx0 + xl : (d == 1) ? y : z];
-          // F_d(k) = -i k_d phi_k
-          kdata[(xl * ng + y) * ng + z] =
-              fft::Complex(0.0, -kd * g) * rho_k[(xl * ng + y) * ng + z];
+          const double kd = (d == 0) ? kx : (d == 1) ? ky : k_of(z);
+          const std::size_t mode = (xl * ng + y) * ng + z;
+          kdata[mode] = fft::Complex(kd * phi[mode].imag(),
+                                     -kd * phi[mode].real());
         }
       }
     }
     gradient_span.close();
-    fft_.backward();
-    auto& fd = force[static_cast<std::size_t>(d)];
-    fd.resize(nz_local * ng * ng);
-    const auto& out = fft_.real_data();
-    for (std::size_t s = 0; s < fd.size(); ++s) fd[s] = out[s].real();
+    fft_.backward_real();
+    force[static_cast<std::size_t>(d)] = fft_.real_field();
   }
 
   // 5. Fetch the force at every cell the local CIC stencils read: owned

@@ -3,19 +3,24 @@
 // Long-range piece of the separation-of-scales architecture (Fig. 2, top
 // left). Per PM step:
 //
-//   1. CIC-deposit owned particles onto the global density mesh. Cell
-//      contributions are routed to the FFT z-slab owners with one
+//   1. CIC-deposit owned particles straight into the FFT's real z-slab.
+//      Cell contributions are routed to the slab owners with one
 //      alltoallv (the block -> slab repartition SWFFT performs in HACC).
-//   2. Forward distributed FFT of the overdensity.
-//   3. Apply the filtered Green's function
+//   2. Real-to-complex distributed FFT of the overdensity, over the
+//      Hermitian half spectrum kx = 0..ng/2 (fft/distributed_fft.h).
+//   3. Apply the filtered Green's function once per mode,
 //         phi_k = -4 pi G S(k) W_cic(k)^{-2} rho_k / k^2
-//      (S from mesh/force_split.h; W_cic deconvolves the deposit window)
-//      and the spectral gradient i k_d for each force component.
-//   4. Three inverse FFTs give the comoving force mesh.
-//   5. Every rank fetches the force planes overlapping its overloaded
-//      block and CIC-interpolates accelerations for all local particles
-//      (ghosts included, so overloaded replicas integrate identically).
+//      (S from mesh/force_split.h; W_cic deconvolves the deposit window),
+//      then the spectral gradient F_d = -i k_d phi_k per component.
+//   4. Three complex-to-real inverse FFTs give the comoving force mesh.
+//   5. Every rank fetches the force at the distinct cells its particles'
+//      CIC stencils read -- its own slab's directly, the rest from their
+//      slab owners in one alltoallv of sorted cell ids -- and interpolates
+//      accelerations for all local particles (ghosts included, so
+//      overloaded replicas integrate identically).
 //
+// Nothing in the solve depends on the caller's domain decomposition: the
+// deposit and the fetch follow the particles, and the FFT its own slabs.
 // Forces returned are comoving: -grad phi with Del^2 phi = 4 pi G rho_com.
 // The integrator applies the cosmological 1/a^2 factor.
 #pragma once
@@ -42,6 +47,8 @@ struct PMConfig {
 
 class PMSolver {
  public:
+  /// `decomp` is not used: the solve follows the particles and the FFT's
+  /// own slabs (see above).
   PMSolver(comm::Communicator& comm, const comm::CartDecomposition& decomp,
            const PMConfig& config);
 
@@ -81,6 +88,11 @@ class PMSolver {
   /// phi_k multiplier: -4 pi G S(k) / (k^2 W^2), 0 at k=0, at the global
   /// frequency indices (ix, iy, iz).
   double greens(std::size_t ix, std::size_t iy, std::size_t iz) const;
+
+  /// CIC-deposits the owned particles into `density`, resized to this
+  /// rank's z-slab (mass per cell volume), and sets mean_density().
+  void deposit_into(comm::Communicator& comm, const Particles& particles,
+                    std::vector<double>& density);
 
   PMConfig config_;
   ForceSplit split_;

@@ -1,6 +1,7 @@
 // Tests for the serial FFT core and the distributed (SWFFT-analog) FFT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -196,6 +197,101 @@ TEST_P(DistributedFftTest, RoundTripAcrossRanks) {
       ASSERT_NEAR(dfft.real_data()[i].imag(), original[i].imag(), 1e-9);
     }
   });
+}
+
+// Half-spectrum (r2c / c2r) transforms on odd (5, Bluestein), radix-2 (8)
+// and even Bluestein (12) grids; 8 ranks exceed n/2 + 1 on all three, so
+// some ranks own no half-spectrum columns.
+constexpr std::size_t kHalfSpectrumSizes[] = {5, 8, 12};
+
+TEST_P(DistributedFftTest, HalfSpectrumForwardMatchesComplexForward) {
+  const int p = GetParam();
+  for (const std::size_t n : kHalfSpectrumSizes) {
+    SplitMix64 rng(61 + n);
+    std::vector<double> field(n * n * n);
+    for (auto& v : field) v = rng.next_double() - 0.5;
+    std::vector<Complex> expected(field.begin(), field.end());
+    transform_3d(expected, n, n, n, false);
+
+    comm::World world(p);
+    world.run([&](comm::Communicator& comm) {
+      DistributedFFT dfft(comm, n);
+      const std::size_t z0 = dfft.local_z_start();
+      auto& local = dfft.real_field();
+      ASSERT_EQ(local.size(), dfft.local_z_count() * n * n);
+      std::copy(field.begin() + static_cast<std::ptrdiff_t>(z0 * n * n),
+                field.begin() + static_cast<std::ptrdiff_t>(
+                                    (z0 + dfft.local_z_count()) * n * n),
+                local.begin());
+      const std::vector<double> original = local;
+      dfft.forward_real();
+      const std::size_t kx0 = dfft.local_half_start();
+      ASSERT_EQ(dfft.half_k_data().size(), dfft.local_half_count() * n * n);
+      for (std::size_t xl = 0; xl < dfft.local_half_count(); ++xl) {
+        ASSERT_LE(kx0 + xl, n / 2);
+        for (std::size_t y = 0; y < n; ++y) {
+          for (std::size_t z = 0; z < n; ++z) {
+            const auto& got = dfft.half_k_data()[dfft.k_index(xl, y, z)];
+            const auto& want = expected[(z * n + y) * n + (kx0 + xl)];
+            ASSERT_NEAR(got.real(), want.real(), 1e-9) << "n=" << n;
+            ASSERT_NEAR(got.imag(), want.imag(), 1e-9) << "n=" << n;
+          }
+        }
+      }
+      // And back: c2r of an r2c spectrum recovers the field.
+      dfft.backward_real();
+      for (std::size_t i = 0; i < original.size(); ++i) {
+        ASSERT_NEAR(dfft.real_field()[i], original[i], 1e-12) << "n=" << n;
+      }
+    });
+  }
+}
+
+TEST_P(DistributedFftTest, C2rEqualsRealPartOfComplexInverse) {
+  // A random half spectrum is not Hermitian on its kx = 0 and kx = n/2
+  // planes (nor is -i k_d phi_k on a Nyquist plane). The c2r inverse must
+  // still equal the real part of the complex inverse of the full spectrum
+  // whose kx > n/2 half is the conjugate mirror of the given one.
+  const int p = GetParam();
+  for (const std::size_t n : kHalfSpectrumSizes) {
+    const std::size_t nh = n / 2 + 1;
+    auto half = random_signal(nh * n * n, 67 + n);  // (kx, y, z), z fastest
+    std::vector<Complex> full(n * n * n);           // (z, y, x), x fastest
+    for (std::size_t x = 0; x < n; ++x) {
+      for (std::size_t y = 0; y < n; ++y) {
+        for (std::size_t z = 0; z < n; ++z) {
+          full[(z * n + y) * n + x] =
+              x < nh ? half[(x * n + y) * n + z]
+                     : std::conj(half[((n - x) * n + (n - y) % n) * n +
+                                      (n - z) % n]);
+        }
+      }
+    }
+    transform_3d(full, n, n, n, true);
+
+    comm::World world(p);
+    world.run([&](comm::Communicator& comm) {
+      DistributedFFT dfft(comm, n);
+      const std::size_t kx0 = dfft.local_half_start();
+      auto& hk = dfft.half_k_data();
+      std::copy(half.begin() + static_cast<std::ptrdiff_t>(kx0 * n * n),
+                half.begin() + static_cast<std::ptrdiff_t>(
+                                   (kx0 + dfft.local_half_count()) * n * n),
+                hk.begin());
+      dfft.backward_real();
+      const std::size_t z0 = dfft.local_z_start();
+      for (std::size_t zl = 0; zl < dfft.local_z_count(); ++zl) {
+        for (std::size_t y = 0; y < n; ++y) {
+          for (std::size_t x = 0; x < n; ++x) {
+            ASSERT_NEAR(dfft.real_field()[dfft.real_index(zl, y, x)],
+                        full[((z0 + zl) * n + y) * n + x].real(), 1e-12)
+                << "n=" << n << " at (" << x << ", " << y << ", " << z0 + zl
+                << ")";
+          }
+        }
+      }
+    });
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, DistributedFftTest,

@@ -273,8 +273,8 @@ TEST(PmSolver, FetchBytesScaleWithOccupiedCells) {
     const std::uint64_t deposit = bytes_of([&] { pm.deposit(comm, p); });
     fft::DistributedFFT fft(comm, ng);
     const std::uint64_t transforms = bytes_of([&] {
-      fft.forward();
-      for (int d = 0; d < 3; ++d) fft.backward();
+      fft.forward_real();
+      for (int d = 0; d < 3; ++d) fft.backward_real();
     });
     const std::uint64_t apply = bytes_of([&] { pm.apply(comm, p, 8.0); });
     ASSERT_GE(apply, deposit + transforms);
