@@ -63,8 +63,9 @@ Footprint stencil_footprint(const Particles& particles, std::size_t ng,
           const std::size_t cy = wrap_cell(axis_y.cell + dy, ng);
           for (int dx = 0; dx < 2; ++dx) {
             const std::size_t cx = wrap_cell(axis_x.cell + dx, ng);
-            corners[at] = Corner{(static_cast<std::uint64_t>(cz) * ng + cy) * ng + cx,
-                                 static_cast<std::uint32_t>(at)};
+            const std::uint64_t id =
+                (static_cast<std::uint64_t>(cz) * ng + cy) * ng + cx;
+            corners[at] = Corner{id, static_cast<std::uint32_t>(at)};
             ++at;
           }
         }
@@ -288,14 +289,14 @@ void PMSolver::apply(comm::Communicator& comm, Particles& particles,
   // On the Nyquist plane of axis d (even ng) the derivative's sign is
   // undefined and F_d is zeroed: the Hermitian part of -i k_d phi_k
   // vanishes there, so a complex inverse's real part drops it too.
+  auto k_of = [&](std::size_t i) {
+    return 2 * i == ng ? 0.0 : wavenumber_[i];
+  };
   std::array<std::vector<double>, 3> force;
   for (int d = 0; d < 3; ++d) {
     util::TraceRecorder::Span gradient_span(util::TraceRecorder::current(),
                                             "pm_gradient");
     auto& kdata = fft_.half_k_data();
-    auto k_of = [&](std::size_t i) {
-      return 2 * i == ng ? 0.0 : wavenumber_[i];
-    };
     for (std::size_t xl = 0; xl < nx_local; ++xl) {
       const double kx = k_of(kx0 + xl);
       for (std::size_t y = 0; y < ng; ++y) {
@@ -331,43 +332,37 @@ void PMSolver::apply(comm::Communicator& comm, Particles& particles,
   };
   // Cell ids are z-major, so each slab owner's cells form one run of the
   // sorted footprint: [first[d], first[d + 1]).
-  const int p = comm.size();
-  std::vector<std::size_t> first(static_cast<std::size_t>(p) + 1);
-  for (int d = 0; d <= p; ++d) {
-    const std::uint64_t lo = zpart.start(d) * plane;
-    first[static_cast<std::size_t>(d)] = static_cast<std::size_t>(
+  const auto p = static_cast<std::size_t>(comm.size());
+  const auto me = static_cast<std::size_t>(comm.rank());
+  std::vector<std::size_t> first(p + 1);
+  for (std::size_t d = 0; d <= p; ++d) {
+    const std::uint64_t lo = zpart.start(static_cast<int>(d)) * plane;
+    first[d] = static_cast<std::size_t>(
         std::lower_bound(cells.begin(), cells.end(), lo) - cells.begin());
   }
   std::vector<double> values(3 * cells.size());
-  std::vector<std::vector<std::uint64_t>> requests(static_cast<std::size_t>(p));
-  for (int d = 0; d < p; ++d) {
-    const auto lo = static_cast<std::ptrdiff_t>(first[static_cast<std::size_t>(d)]);
-    const auto hi = static_cast<std::ptrdiff_t>(first[static_cast<std::size_t>(d) + 1]);
-    if (d == comm.rank()) {
-      for (auto u = lo; u < hi; ++u) {
-        read_owned(cells[static_cast<std::size_t>(u)],
-                   &values[3 * static_cast<std::size_t>(u)]);
-      }
-    } else {
-      requests[static_cast<std::size_t>(d)].assign(cells.begin() + lo,
-                                                   cells.begin() + hi);
-    }
+  for (std::size_t u = first[me]; u < first[me + 1]; ++u) {
+    read_owned(cells[u], &values[3 * u]);
+  }
+  std::vector<std::vector<std::uint64_t>> requests(p);
+  for (std::size_t d = 0; d < p; ++d) {
+    if (d == me) continue;
+    requests[d].assign(cells.data() + first[d], cells.data() + first[d + 1]);
   }
   const auto asked = comm.alltoallv(requests);
-  std::vector<std::vector<double>> answers(static_cast<std::size_t>(p));
-  for (std::size_t s = 0; s < asked.size(); ++s) {
+  std::vector<std::vector<double>> answers(p);
+  for (std::size_t s = 0; s < p; ++s) {
     answers[s].resize(3 * asked[s].size());
     for (std::size_t q = 0; q < asked[s].size(); ++q) {
       read_owned(asked[s][q], &answers[s][3 * q]);
     }
   }
   const auto answered = comm.alltoallv(answers);
-  for (int d = 0; d < p; ++d) {
-    if (d == comm.rank()) continue;
-    const auto& got = answered[static_cast<std::size_t>(d)];
-    const std::size_t lo = first[static_cast<std::size_t>(d)];
-    CHECK(got.size() == 3 * (first[static_cast<std::size_t>(d) + 1] - lo));
-    std::copy(got.begin(), got.end(), values.begin() + static_cast<std::ptrdiff_t>(3 * lo));
+  for (std::size_t d = 0; d < p; ++d) {
+    if (d == me) continue;
+    CHECK(answered[d].size() == 3 * (first[d + 1] - first[d]));
+    std::copy(answered[d].begin(), answered[d].end(),
+              values.data() + 3 * first[d]);
   }
   fetch_span.close();
 
