@@ -77,8 +77,27 @@ Footprint stencil_footprint(const Particles& particles, std::size_t ng,
   } else {
     collect(0, n, 0);
   }
-  std::sort(corners.begin(), corners.end(),
-            [](const Corner& a, const Corner& b) { return a.cell < b.cell; });
+  // Stable LSD radix sort by cell id, 11 bits per pass: two passes at
+  // ng 64, one at ng 12, and no comparisons.
+  constexpr int kDigitBits = 11;
+  constexpr std::uint64_t kDigitMask = (std::uint64_t{1} << kDigitBits) - 1;
+  const std::uint64_t max_id = static_cast<std::uint64_t>(ng) * ng * ng - 1;
+  std::vector<Corner> sorted(corners.size());
+  std::vector<std::size_t> offset(kDigitMask + 1);
+  for (int shift = 0; shift < 64 && (max_id >> shift) != 0;
+       shift += kDigitBits) {
+    std::fill(offset.begin(), offset.end(), 0);
+    for (const Corner& c : corners) ++offset[(c.cell >> shift) & kDigitMask];
+    std::size_t end = 0;
+    for (std::size_t& o : offset) {
+      end += o;
+      o = end - o;
+    }
+    for (const Corner& c : corners) {
+      sorted[offset[(c.cell >> shift) & kDigitMask]++] = c;
+    }
+    corners.swap(sorted);
+  }
   Footprint footprint;
   footprint.slot.resize(8 * n);
   for (const Corner& corner : corners) {
@@ -233,16 +252,19 @@ std::vector<fft::Complex> PMSolver::overdensity_spectrum(
     comm::Communicator& comm, const Particles& particles) {
   const std::size_t ng = config_.ng;
   auto density = deposit(comm, particles);
-  auto& real = fft_.real_data();
+  // A grid of its own for the complex transform: the solve's transforms
+  // are real, so fft_ never holds complex buffers between measurements.
+  fft::DistributedFFT grid(comm, ng);
+  auto& real = grid.real_data();
   const double inv_mean = mean_density_ > 0.0 ? 1.0 / mean_density_ : 0.0;
   for (std::size_t s = 0; s < density.size(); ++s) {
     real[s] = fft::Complex(density[s] * inv_mean - 1.0, 0.0);
   }
-  fft_.forward();
-  std::vector<fft::Complex> spectrum = fft_.k_data();
+  grid.forward();
+  std::vector<fft::Complex> spectrum = std::move(grid.k_data());
   // Deconvolve the CIC deposit window.
-  const std::size_t kx0 = fft_.local_kx_start();
-  const std::size_t nx_local = fft_.local_kx_count();
+  const std::size_t kx0 = grid.local_kx_start();
+  const std::size_t nx_local = grid.local_kx_count();
   for (std::size_t xl = 0; xl < nx_local; ++xl) {
     const double wx = window_[kx0 + xl];
     for (std::size_t y = 0; y < ng; ++y) {
