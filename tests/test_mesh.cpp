@@ -2,10 +2,12 @@
 // interpolation, and the PM + short-range force-split accuracy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <mutex>
+#include <numbers>
 #include <utility>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "core/particles.h"
 #include "cosmology/units.h"
 #include "fft/distributed_fft.h"
+#include "fft/fft.h"
 #include "gpu/device.h"
 #include "gravity/short_range.h"
 #include "mesh/pm_solver.h"
@@ -132,6 +135,103 @@ TEST(PmSolver, ForceSplitRecoversNewtonianPairForce) {
           << "separation " << r;
     }
   });
+}
+
+TEST(PmSolver, MatchesFullSpectrumReference) {
+  // The half-spectrum solve against the full complex formulation, done
+  // serially here: deposit, full 3-D FFT, F_d = -i k_d G(k) rho_k on every
+  // mode, full inverse, real part, CIC interpolation. A small split scale
+  // keeps the Nyquist modes (where the half spectrum needs care) well
+  // above the filter's floor; ng 8 has Nyquist planes, ng 9 has none.
+  for (const std::size_t ng : {std::size_t{8}, std::size_t{9}}) {
+    comm::World world(1);
+    world.run([ng](comm::Communicator& comm) {
+      const double box = static_cast<double>(ng);
+      const comm::CartDecomposition decomp(1, box);
+      PMSolver pm(comm, decomp, PMConfig{ng, box, 0.3});
+      Particles p;
+      SplitMix64 rng(83);
+      for (int i = 0; i < 40; ++i) {
+        p.push_back(static_cast<std::uint64_t>(i), Species::kDarkMatter,
+                    static_cast<float>(rng.next_double() * box),
+                    static_cast<float>(rng.next_double() * box),
+                    static_cast<float>(rng.next_double() * box), 0, 0, 0,
+                    1.0f + static_cast<float>(rng.next_double()));
+      }
+      const auto density = pm.deposit(comm, p);
+      std::vector<fft::Complex> rho_k(density.size());
+      for (std::size_t s = 0; s < density.size(); ++s) {
+        rho_k[s] = fft::Complex(density[s] - pm.mean_density(), 0.0);
+      }
+      fft::transform_3d(rho_k, ng, ng, ng, false);  // (z, y, x), x fastest
+
+      const double cell = box / static_cast<double>(ng);
+      std::vector<double> k(ng), w(ng);
+      for (std::size_t i = 0; i < ng; ++i) {
+        k[i] = 2.0 * std::numbers::pi / box *
+               static_cast<double>(fft::freq_of(i, ng));
+        w[i] = i == 0 ? 1.0 : std::sin(0.5 * k[i] * cell) / (0.5 * k[i] * cell);
+      }
+      std::array<std::vector<double>, 3> force;
+      for (int d = 0; d < 3; ++d) {
+        std::vector<fft::Complex> f(rho_k.size());
+        for (std::size_t z = 0; z < ng; ++z) {
+          for (std::size_t y = 0; y < ng; ++y) {
+            for (std::size_t x = 0; x < ng; ++x) {
+              const double k2 = k[x] * k[x] + k[y] * k[y] + k[z] * k[z];
+              if (k2 <= 0.0) continue;
+              const double w2 = w[x] * w[x] * w[y] * w[y] * w[z] * w[z];
+              const double g = -4.0 * std::numbers::pi * units::kGravity *
+                               pm.split().long_range_filter(std::sqrt(k2)) /
+                               (k2 * w2 * w2);
+              const double kd = d == 0 ? k[x] : d == 1 ? k[y] : k[z];
+              const std::size_t s = (z * ng + y) * ng + x;
+              f[s] = fft::Complex(0.0, -kd * g) * rho_k[s];
+            }
+          }
+        }
+        fft::transform_3d(f, ng, ng, ng, true);
+        for (const auto& v : f) force[d].push_back(v.real());
+      }
+
+      Particles solved = p;
+      pm.apply(comm, solved, 1.0);
+      double scale = 0.0;
+      for (std::size_t i = 0; i < p.size(); ++i) {
+        for (const float a : {solved.ax[i], solved.ay[i], solved.az[i]}) {
+          scale = std::max(scale, static_cast<double>(std::abs(a)));
+        }
+      }
+      ASSERT_GT(scale, 0.0);
+      for (std::size_t i = 0; i < p.size(); ++i) {
+        const CicAxis ax = cic_axis(p.x[i], cell);
+        const CicAxis ay = cic_axis(p.y[i], cell);
+        const CicAxis az = cic_axis(p.z[i], cell);
+        auto wrap = [ng](long c) {
+          return static_cast<std::size_t>((c % static_cast<long>(ng) +
+                                           static_cast<long>(ng)) %
+                                          static_cast<long>(ng));
+        };
+        std::array<double, 3> want{0.0, 0.0, 0.0};
+        for (int dz = 0; dz < 2; ++dz) {
+          for (int dy = 0; dy < 2; ++dy) {
+            for (int dx = 0; dx < 2; ++dx) {
+              const double weight = (dz ? az.w_hi : 1.0 - az.w_hi) *
+                                    (dy ? ay.w_hi : 1.0 - ay.w_hi) *
+                                    (dx ? ax.w_hi : 1.0 - ax.w_hi);
+              const std::size_t s =
+                  (wrap(az.cell + dz) * ng + wrap(ay.cell + dy)) * ng +
+                  wrap(ax.cell + dx);
+              for (int d = 0; d < 3; ++d) want[d] += weight * force[d][s];
+            }
+          }
+        }
+        EXPECT_NEAR(solved.ax[i], want[0], 1e-5 * scale) << "ng " << ng;
+        EXPECT_NEAR(solved.ay[i], want[1], 1e-5 * scale) << "ng " << ng;
+        EXPECT_NEAR(solved.az[i], want[2], 1e-5 * scale) << "ng " << ng;
+      }
+    });
+  }
 }
 
 TEST(PmSolver, ForceIndependentOfRankCount) {
