@@ -116,7 +116,6 @@ class DistributedFFT {
 
   const SlabPartition& z_partition() const { return z_part_; }
   const SlabPartition& x_partition() const { return x_part_; }
-  const SlabPartition& half_partition() const { return half_part_; }
 
  private:
   /// Repartition between a z-slab (z_local, y, x) whose rows hold `row`

@@ -21,6 +21,7 @@
 //
 // Nothing in the solve depends on the caller's domain decomposition: the
 // deposit and the fetch follow the particles, and the FFT its own slabs.
+//
 // Forces returned are comoving: -grad phi with Del^2 phi = 4 pi G rho_com.
 // The integrator applies the cosmological 1/a^2 factor.
 #pragma once
