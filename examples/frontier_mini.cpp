@@ -443,7 +443,7 @@ int main(int argc, char** argv) {
     if (config.trace.enabled) {
       const std::string fragment = sim.trace().chrome_events_fragment();
       std::vector<std::uint8_t> mine(fragment.begin(), fragment.end());
-      const auto gathered = comm.allgather_bytes(mine);
+      const auto gathered = comm.allgather(mine);
       if (comm.rank() == 0) {
         std::vector<std::string> fragments;
         for (const auto& bytes : gathered) {

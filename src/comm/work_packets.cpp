@@ -115,21 +115,19 @@ WorkReply decode_work_reply(const std::vector<std::uint8_t>& bytes) {
 
 void send_work_packet(Communicator& comm, int helper,
                       const WorkPacket& packet) {
-  const auto bytes = encode_work_packet(packet);
-  comm.send_bytes(helper, kTagLbWork, bytes.data(), bytes.size());
+  comm.send(helper, kTagLbWork, encode_work_packet(packet));
 }
 
 WorkPacket recv_work_packet(Communicator& comm, int donor) {
-  return decode_work_packet(comm.recv_bytes(donor, kTagLbWork));
+  return decode_work_packet(comm.recv<std::uint8_t>(donor, kTagLbWork));
 }
 
 void send_work_reply(Communicator& comm, int donor, const WorkReply& reply) {
-  const auto bytes = encode_work_reply(reply);
-  comm.send_bytes(donor, kTagLbReply, bytes.data(), bytes.size());
+  comm.send(donor, kTagLbReply, encode_work_reply(reply));
 }
 
 WorkReply recv_work_reply(Communicator& comm, int helper) {
-  return decode_work_reply(comm.recv_bytes(helper, kTagLbReply));
+  return decode_work_reply(comm.recv<std::uint8_t>(helper, kTagLbReply));
 }
 
 }  // namespace crkhacc::comm

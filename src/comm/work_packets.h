@@ -82,7 +82,7 @@ WorkPacket decode_work_packet(const std::vector<std::uint8_t>& bytes);
 std::vector<std::uint8_t> encode_work_reply(const WorkReply& reply);
 WorkReply decode_work_reply(const std::vector<std::uint8_t>& bytes);
 
-/// Non-blocking deposit into the helper's mailbox (send_bytes semantics).
+/// Non-blocking: moves the encoded packet into the helper's mailbox.
 void send_work_packet(Communicator& comm, int helper, const WorkPacket& packet);
 /// Blocking receive of the donor's next packet (FIFO per donor).
 WorkPacket recv_work_packet(Communicator& comm, int donor);

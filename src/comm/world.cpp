@@ -7,14 +7,6 @@
 namespace crkhacc::comm {
 namespace {
 
-// Internal tags (negative so they never collide with user tags, which are
-// required to be non-negative). Collectives are built on point-to-point;
-// correctness of back-to-back collectives follows from per-(source, tag)
-// FIFO message ordering.
-constexpr int kTagAllgather = -1;
-constexpr int kTagBcast = -2;
-constexpr int kTagAlltoall = -3;
-
 /// Watchdog sample spacing once a rank has died: the survivors are about
 /// to wedge on the dead peer, and proving that should not wait out the
 /// configured poll interval twice.
@@ -319,7 +311,7 @@ void World::throw_deadlock() {
   throw DeadlockError(deadlock_diagnosis_);
 }
 
-void World::deliver(int dest, Message message) {
+void World::deliver(int dest, Message&& message) {
   CHECK(dest >= 0 && dest < num_ranks_);
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(dest)];
   {
@@ -330,7 +322,7 @@ void World::deliver(int dest, Message message) {
   box.cv.notify_all();
 }
 
-std::vector<std::uint8_t> World::wait_for(int self, int source, int tag) {
+std::any World::wait_for(int self, int source, int tag) {
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(self)];
   std::unique_lock<std::mutex> lock(box.mutex);
   set_phase(self, Phase::kBlockedRecv, source, tag);
@@ -371,8 +363,6 @@ void World::barrier_wait(int self) {
 // --------------------------------------------------------------------------
 // Communicator
 
-int Communicator::size() const { return world_.num_ranks_; }
-
 void Communicator::tick() {
   const std::int64_t fail_at = world_.fail_at_op_[static_cast<std::size_t>(rank_)];
   const std::uint64_t op = op_count_++;
@@ -381,80 +371,9 @@ void Communicator::tick() {
   }
 }
 
-void Communicator::send_bytes(int dest, int tag, const void* data,
-                              std::size_t size) {
-  CHECK(tag >= 0);
-  tick();
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  bytes_sent_ += size;
-  world_.deliver(dest, World::Message{rank_, tag,
-                                      std::vector<std::uint8_t>(bytes, bytes + size)});
-}
-
-std::vector<std::uint8_t> Communicator::recv_bytes(int source, int tag) {
-  CHECK(tag >= 0);
-  tick();
-  return world_.wait_for(rank_, source, tag);
-}
-
 void Communicator::barrier() {
   tick();
   world_.barrier_wait(rank_);
-}
-
-std::vector<std::vector<std::uint8_t>> Communicator::allgather_bytes(
-    const std::vector<std::uint8_t>& mine) {
-  tick();
-  const int n = size();
-  for (int d = 0; d < n; ++d) {
-    bytes_sent_ += mine.size();
-    world_.deliver(d, World::Message{rank_, kTagAllgather, mine});
-  }
-  std::vector<std::vector<std::uint8_t>> out(static_cast<std::size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    out[static_cast<std::size_t>(s)] = world_.wait_for(rank_, s, kTagAllgather);
-  }
-  return out;
-}
-
-void Communicator::allreduce(std::span<double> values, ReduceOp op) {
-  std::vector<std::uint8_t> mine(values.size_bytes());
-  // memcpy with a null pointer is undefined even for zero bytes, and an
-  // empty span or vector may hand one out.
-  if (!values.empty()) std::memcpy(mine.data(), values.data(), mine.size());
-  auto all = allgather_bytes(mine);
-  for (std::size_t s = 0; s < all.size(); ++s) {
-    if (static_cast<int>(s) == rank_) continue;
-    CHECK(all[s].size() == values.size_bytes());
-    const auto* other = reinterpret_cast<const double*>(all[s].data());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      switch (op) {
-        case ReduceOp::kSum: values[i] += other[i]; break;
-        case ReduceOp::kMin: values[i] = std::min(values[i], other[i]); break;
-        case ReduceOp::kMax: values[i] = std::max(values[i], other[i]); break;
-      }
-    }
-  }
-}
-
-void Communicator::allreduce(std::span<std::int64_t> values, ReduceOp op) {
-  std::vector<std::uint8_t> mine(values.size_bytes());
-  // memcpy with a null pointer is undefined even for zero bytes, and an
-  // empty span or vector may hand one out.
-  if (!values.empty()) std::memcpy(mine.data(), values.data(), mine.size());
-  auto all = allgather_bytes(mine);
-  for (std::size_t s = 0; s < all.size(); ++s) {
-    if (static_cast<int>(s) == rank_) continue;
-    CHECK(all[s].size() == values.size_bytes());
-    const auto* other = reinterpret_cast<const std::int64_t*>(all[s].data());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      switch (op) {
-        case ReduceOp::kSum: values[i] += other[i]; break;
-        case ReduceOp::kMin: values[i] = std::min(values[i], other[i]); break;
-        case ReduceOp::kMax: values[i] = std::max(values[i], other[i]); break;
-      }
-    }
-  }
 }
 
 double Communicator::allreduce_scalar(double value, ReduceOp op) {
@@ -465,36 +384,6 @@ double Communicator::allreduce_scalar(double value, ReduceOp op) {
 std::int64_t Communicator::allreduce_scalar(std::int64_t value, ReduceOp op) {
   allreduce(std::span<std::int64_t>(&value, 1), op);
   return value;
-}
-
-void Communicator::bcast_bytes(std::vector<std::uint8_t>& bytes, int root) {
-  tick();
-  if (rank_ == root) {
-    for (int d = 0; d < size(); ++d) {
-      if (d == root) continue;
-      bytes_sent_ += bytes.size();
-      world_.deliver(d, World::Message{rank_, kTagBcast, bytes});
-    }
-  } else {
-    bytes = world_.wait_for(rank_, root, kTagBcast);
-  }
-}
-
-std::vector<std::vector<std::uint8_t>> Communicator::alltoallv_bytes(
-    const std::vector<std::vector<std::uint8_t>>& sends) {
-  tick();
-  const int n = size();
-  CHECK(static_cast<int>(sends.size()) == n);
-  for (int d = 0; d < n; ++d) {
-    bytes_sent_ += sends[static_cast<std::size_t>(d)].size();
-    world_.deliver(d, World::Message{rank_, kTagAlltoall,
-                                     sends[static_cast<std::size_t>(d)]});
-  }
-  std::vector<std::vector<std::uint8_t>> out(static_cast<std::size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    out[static_cast<std::size_t>(s)] = world_.wait_for(rank_, s, kTagAlltoall);
-  }
-  return out;
 }
 
 }  // namespace crkhacc::comm

@@ -9,9 +9,15 @@
 // exactly as they would be against MPI, so rank-count scaling exercises the
 // same decomposition, exchange, and reduction patterns as the real machine.
 //
-// Messages are deep-copied byte buffers: no shared mutable state leaks
-// between ranks, preserving the distributed-memory discipline that makes
-// the overload/ghost-zone design of the paper necessary in the first place.
+// A message owns a typed payload, a std::vector<T> whose element type is
+// what an MPI datatype can carry (trivially copyable). A send moves the
+// sender's vector into the receiver's mailbox, or copies it where one
+// buffer goes to several ranks (bcast, allgather), so no buffer is ever
+// reachable from two ranks: no shared mutable state leaks between ranks,
+// preserving the distributed-memory discipline that makes the
+// overload/ghost-zone design of the paper necessary in the first place.
+// A receive whose element type differs from the sender's fails a CHECK
+// instead of reinterpreting bytes.
 //
 // Fault domain: a deterministic rank-failure schedule can abort any rank
 // mid-step (RankFailure unwinds that rank's program cleanly), and a hang
@@ -23,11 +29,12 @@
 // naming the dead ranks so a campaign layer can shrink and continue.
 #pragma once
 
+#include <algorithm>
+#include <any>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -36,6 +43,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/assertions.h"
@@ -45,7 +54,7 @@ namespace crkhacc::comm {
 /// Reduction operators for allreduce.
 enum class ReduceOp { kSum, kMin, kMax };
 
-class World;
+class Communicator;
 
 /// Thrown inside a rank's program when its injected failure point is
 /// reached; World::run catches it, records the loss, and lets the other
@@ -93,156 +102,6 @@ class RankLossError : public DeadlockError {
 
  private:
   std::vector<FailureRecord> lost_;
-};
-
-/// Per-rank communication handle. Valid only inside World::run.
-///
-/// All operations are blocking with MPI semantics. Point-to-point matching
-/// is by (source, tag) in FIFO order per pair.
-class Communicator {
- public:
-  int rank() const { return rank_; }
-  int size() const;
-
-  // --- point-to-point ----------------------------------------------------
-  void send_bytes(int dest, int tag, const void* data, std::size_t size);
-  /// Blocks until a matching message arrives; returns its payload.
-  std::vector<std::uint8_t> recv_bytes(int source, int tag);
-
-  template <typename T>
-  void send(int dest, int tag, std::span<const T> data) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    send_bytes(dest, tag, data.data(), data.size_bytes());
-  }
-
-  template <typename T>
-  void send_value(int dest, int tag, const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    send_bytes(dest, tag, &value, sizeof(T));
-  }
-
-  template <typename T>
-  std::vector<T> recv(int source, int tag) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    auto bytes = recv_bytes(source, tag);
-    CHECK(bytes.size() % sizeof(T) == 0);
-    std::vector<T> out(bytes.size() / sizeof(T));
-    std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
-  }
-
-  template <typename T>
-  T recv_value(int source, int tag) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    auto bytes = recv_bytes(source, tag);
-    CHECK(bytes.size() == sizeof(T));
-    T value;
-    std::memcpy(&value, bytes.data(), sizeof(T));
-    return value;
-  }
-
-  // --- collectives --------------------------------------------------------
-  /// All ranks must call; returns when every rank has arrived.
-  void barrier();
-
-  /// Element-wise reduction of `values` across ranks; result on all ranks.
-  void allreduce(std::span<double> values, ReduceOp op);
-  void allreduce(std::span<std::int64_t> values, ReduceOp op);
-  double allreduce_scalar(double value, ReduceOp op);
-  std::int64_t allreduce_scalar(std::int64_t value, ReduceOp op);
-
-  /// Collective logical-AND: true iff every rank passed true. Used for
-  /// commit/rollback and recovery verdicts where all ranks must agree.
-  bool all_agree(bool local_ok) {
-    return allreduce_scalar(static_cast<std::int64_t>(local_ok ? 1 : 0),
-                            ReduceOp::kMin) == 1;
-  }
-
-  /// Broadcast `bytes` from `root` to every rank (resized on receivers).
-  void bcast_bytes(std::vector<std::uint8_t>& bytes, int root);
-
-  template <typename T>
-  void bcast(std::vector<T>& data, int root) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::uint8_t> bytes;
-    if (rank_ == root) {
-      bytes.resize(data.size() * sizeof(T));
-      std::memcpy(bytes.data(), data.data(), bytes.size());
-    }
-    bcast_bytes(bytes, root);
-    data.resize(bytes.size() / sizeof(T));
-    std::memcpy(data.data(), bytes.data(), bytes.size());
-  }
-
-  /// Gather one T from each rank onto all ranks (allgather).
-  template <typename T>
-  std::vector<T> allgather_value(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::uint8_t> mine(sizeof(T));
-    std::memcpy(mine.data(), &value, sizeof(T));
-    auto gathered = allgather_bytes(mine);
-    std::vector<T> out(gathered.size());
-    for (std::size_t i = 0; i < gathered.size(); ++i) {
-      CHECK(gathered[i].size() == sizeof(T));
-      std::memcpy(&out[i], gathered[i].data(), sizeof(T));
-    }
-    return out;
-  }
-
-  /// Gather a variable-size byte buffer from each rank onto all ranks.
-  std::vector<std::vector<std::uint8_t>> allgather_bytes(
-      const std::vector<std::uint8_t>& mine);
-
-  /// Personalized all-to-all: sends[d] goes to rank d; returns one buffer
-  /// received from each rank (empty buffers allowed).
-  std::vector<std::vector<std::uint8_t>> alltoallv_bytes(
-      const std::vector<std::vector<std::uint8_t>>& sends);
-
-  template <typename T>
-  std::vector<std::vector<T>> alltoallv(
-      const std::vector<std::vector<T>>& sends) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    CHECK(static_cast<int>(sends.size()) == size());
-    std::vector<std::vector<std::uint8_t>> raw(sends.size());
-    for (std::size_t d = 0; d < sends.size(); ++d) {
-      raw[d].resize(sends[d].size() * sizeof(T));
-      // data() of an empty vector may be null; memcpy forbids null even
-      // for zero sizes.
-      if (!raw[d].empty()) {
-        std::memcpy(raw[d].data(), sends[d].data(), raw[d].size());
-      }
-    }
-    auto got = alltoallv_bytes(raw);
-    std::vector<std::vector<T>> out(got.size());
-    for (std::size_t s = 0; s < got.size(); ++s) {
-      CHECK(got[s].size() % sizeof(T) == 0);
-      out[s].resize(got[s].size() / sizeof(T));
-      if (!got[s].empty()) {
-        std::memcpy(out[s].data(), got[s].data(), got[s].size());
-      }
-    }
-    return out;
-  }
-
-  /// Total bytes this rank has sent point-to-point (diagnostics).
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
-
-  /// Communication operations issued so far (the counter
-  /// schedule_rank_failure indexes) — lets harnesses measure an op
-  /// budget on a fault-free run and aim an injected failure inside it.
-  std::uint64_t op_count() const { return op_count_; }
-
- private:
-  friend class World;
-  Communicator(World& world, int rank) : world_(world), rank_(rank) {}
-
-  /// Advance the comm-op counter; throws RankFailure at the scheduled op.
-  void tick();
-
-  World& world_;
-  int rank_;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t op_count_ = 0;
 };
 
 /// Watchdog tuning. The watchdog only fires on a *proven* deadlock (all
@@ -301,7 +160,7 @@ class World {
   struct Message {
     int source;
     int tag;
-    std::vector<std::uint8_t> payload;
+    std::any payload;  ///< the sender's std::vector<T>
   };
 
   struct Mailbox {
@@ -325,8 +184,8 @@ class World {
     std::uint64_t barrier_gen = 0;  ///< barrier: awaited generation
   };
 
-  void deliver(int dest, Message message);
-  std::vector<std::uint8_t> wait_for(int self, int source, int tag);
+  void deliver(int dest, Message&& message);
+  std::any wait_for(int self, int source, int tag);
 
   // Central generation-counted barrier shared by all collectives.
   void barrier_wait(int self);
@@ -365,6 +224,179 @@ class World {
   std::condition_variable watchdog_cv_;
   bool rank_lost_ = false;  ///< a rank died this run; guarded by watchdog_mutex_
   bool dirty_ = false;  ///< previous run left mailboxes/barrier corrupt
+};
+
+/// Per-rank communication handle. Valid only inside World::run.
+///
+/// All operations are blocking with MPI semantics. Point-to-point matching
+/// is by (source, tag) in FIFO order per pair. Payloads are
+/// std::vector<T> of a trivially copyable T; a receive must name the
+/// sender's T. Every operation ticks op_count() once before it delivers
+/// anything.
+class Communicator {
+ public:
+  int rank() const { return rank_; }
+  int size() const { return world_.num_ranks_; }
+
+  // --- point-to-point ----------------------------------------------------
+  /// Moves `data` into `dest`'s mailbox; pass an lvalue to send a copy.
+  template <typename T>
+  void send(int dest, int tag, std::vector<T> data) {
+    CHECK(tag >= 0);
+    tick();
+    post(dest, tag, std::move(data));
+  }
+
+  /// Blocks until a matching message arrives; returns its payload.
+  template <typename T>
+  std::vector<T> recv(int source, int tag) {
+    CHECK(tag >= 0);
+    tick();
+    return take<T>(source, tag);
+  }
+
+  template <typename T>
+  void send_value(int dest, int tag, const T& value) {
+    send(dest, tag, std::vector<T>{value});
+  }
+
+  template <typename T>
+  T recv_value(int source, int tag) {
+    const std::vector<T> data = recv<T>(source, tag);
+    CHECK(data.size() == 1);
+    return data[0];
+  }
+
+  // --- collectives --------------------------------------------------------
+  /// All ranks must call; returns when every rank has arrived.
+  void barrier();
+
+  /// Element-wise reduction of `values` across ranks; result on all ranks.
+  template <typename T>
+  void allreduce(std::span<T> values, ReduceOp op) {
+    const auto all = allgather(std::vector<T>(values.begin(), values.end()));
+    for (std::size_t s = 0; s < all.size(); ++s) {
+      if (static_cast<int>(s) == rank_) continue;
+      CHECK(all[s].size() == values.size());
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        switch (op) {
+          case ReduceOp::kSum: values[i] += all[s][i]; break;
+          case ReduceOp::kMin: values[i] = std::min(values[i], all[s][i]); break;
+          case ReduceOp::kMax: values[i] = std::max(values[i], all[s][i]); break;
+        }
+      }
+    }
+  }
+  double allreduce_scalar(double value, ReduceOp op);
+  std::int64_t allreduce_scalar(std::int64_t value, ReduceOp op);
+
+  /// Collective logical-AND: true iff every rank passed true. Used for
+  /// commit/rollback and recovery verdicts where all ranks must agree.
+  bool all_agree(bool local_ok) {
+    return allreduce_scalar(static_cast<std::int64_t>(local_ok ? 1 : 0),
+                            ReduceOp::kMin) == 1;
+  }
+
+  /// Broadcast `data` from `root` to every rank (replaced on receivers).
+  template <typename T>
+  void bcast(std::vector<T>& data, int root) {
+    tick();
+    if (rank_ != root) {
+      data = take<T>(root, kTagBcast);
+      return;
+    }
+    for (int d = 0; d < size(); ++d) {
+      if (d != root) post(d, kTagBcast, data);
+    }
+  }
+
+  /// Gather a variable-size buffer from each rank onto all ranks,
+  /// indexed by source rank.
+  template <typename T>
+  std::vector<std::vector<T>> allgather(const std::vector<T>& mine) {
+    tick();
+    for (int d = 0; d < size(); ++d) post(d, kTagAllgather, mine);
+    return take_from_all<T>(kTagAllgather);
+  }
+
+  /// Gather one T from each rank onto all ranks.
+  template <typename T>
+  std::vector<T> allgather_value(const T& value) {
+    std::vector<T> out;
+    for (const std::vector<T>& one : allgather(std::vector<T>{value})) {
+      CHECK(one.size() == 1);
+      out.push_back(one[0]);
+    }
+    return out;
+  }
+
+  /// Personalized all-to-all: sends[d] is moved to rank d; returns the
+  /// buffer received from each rank (empty buffers allowed).
+  template <typename T>
+  std::vector<std::vector<T>> alltoallv(std::vector<std::vector<T>> sends) {
+    CHECK(static_cast<int>(sends.size()) == size());
+    tick();
+    for (int d = 0; d < size(); ++d) {
+      post(d, kTagAlltoall, std::move(sends[static_cast<std::size_t>(d)]));
+    }
+    return take_from_all<T>(kTagAlltoall);
+  }
+
+  /// Payload bytes this rank has delivered to mailboxes, its own
+  /// included (diagnostics).
+  std::uint64_t bytes_sent() const { return bytes_sent_; }
+
+  /// Communication operations issued so far (the counter
+  /// schedule_rank_failure indexes) — lets harnesses measure an op
+  /// budget on a fault-free run and aim an injected failure inside it.
+  std::uint64_t op_count() const { return op_count_; }
+
+ private:
+  friend class World;
+  Communicator(World& world, int rank) : world_(world), rank_(rank) {}
+
+  // Internal tags, negative so they never collide with user tags (which
+  // must be non-negative). Back-to-back collectives stay matched by the
+  // per-(source, tag) FIFO order.
+  static constexpr int kTagAllgather = -1;
+  static constexpr int kTagBcast = -2;
+  static constexpr int kTagAlltoall = -3;
+
+  /// Advance the comm-op counter; throws RankFailure at the scheduled op.
+  void tick();
+
+  /// Counts `data`'s bytes and moves it into `dest`'s mailbox.
+  template <typename T>
+  void post(int dest, int tag, std::vector<T> data) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    bytes_sent_ += data.size() * sizeof(T);
+    world_.deliver(dest, World::Message{rank_, tag, std::move(data)});
+  }
+
+  /// Blocks for the next (source, tag) message and moves its payload out.
+  template <typename T>
+  std::vector<T> take(int source, int tag) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    std::any payload = world_.wait_for(rank_, source, tag);
+    auto* data = std::any_cast<std::vector<T>>(&payload);
+    CHECK_MSG(data != nullptr, "received element type differs from the sent one");
+    return std::move(*data);
+  }
+
+  /// One `tag` message from each rank, indexed by source.
+  template <typename T>
+  std::vector<std::vector<T>> take_from_all(int tag) {
+    std::vector<std::vector<T>> out(static_cast<std::size_t>(size()));
+    for (int s = 0; s < size(); ++s) {
+      out[static_cast<std::size_t>(s)] = take<T>(s, tag);
+    }
+    return out;
+  }
+
+  World& world_;
+  int rank_;
+  std::uint64_t bytes_sent_ = 0;
+  std::uint64_t op_count_ = 0;
 };
 
 }  // namespace crkhacc::comm

@@ -111,7 +111,7 @@ ExchangeStats exchange_and_overload(comm::Communicator& comm,
       }
     }
     particles.compact(keep);
-    auto recvs = comm.alltoallv(sends);
+    auto recvs = comm.alltoallv(std::move(sends));
     for (const auto& batch : recvs) {
       for (const auto& record : batch) {
         particles.append_record(record);
@@ -138,7 +138,7 @@ ExchangeStats exchange_and_overload(comm::Communicator& comm,
         sends[static_cast<std::size_t>(rule.target)].push_back(record);
       }
     }
-    auto recvs = comm.alltoallv(sends);
+    auto recvs = comm.alltoallv(std::move(sends));
     for (const auto& batch : recvs) {
       for (const auto& record : batch) {
         const std::size_t idx = particles.append_record(record);

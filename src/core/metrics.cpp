@@ -120,7 +120,7 @@ MetricsRegistry MetricsRegistry::reduce(comm::Communicator& comm) const {
     names_blob.push_back('\n');
   }
   std::vector<std::uint8_t> mine(names_blob.begin(), names_blob.end());
-  const auto gathered = comm.allgather_bytes(mine);
+  const auto gathered = comm.allgather(mine);
 
   std::map<std::string, MetricKind> names;
   for (const auto& blob : gathered) {

@@ -191,7 +191,7 @@ void DistributedFFT::transpose_z_to_x(const std::vector<Complex>& slab,
       }
     }
   }
-  auto recvs = comm_.alltoallv(sends);
+  auto recvs = comm_.alltoallv(std::move(sends));
   // Unpack into (x_local, y, z) with z fastest.
   const std::size_t nx_local = xpart.count(comm_.rank());
   out.assign(nx_local * n_ * n_, Complex(0.0, 0.0));
@@ -234,7 +234,7 @@ void DistributedFFT::transpose_x_to_z(const std::vector<Complex>& xslab,
       }
     }
   }
-  auto recvs = comm_.alltoallv(sends);
+  auto recvs = comm_.alltoallv(std::move(sends));
   const std::size_t nz_local = local_z_count();
   out.assign(nz_local * n_ * row, Complex(0.0, 0.0));
   for (int s = 0; s < p; ++s) {

@@ -235,7 +235,7 @@ void PMSolver::deposit_into(comm::Communicator& comm,
       comm.allreduce_scalar(local_mass, comm::ReduceOp::kSum);
   mean_density_ = total_mass / (config_.box * config_.box * config_.box);
 
-  auto recvs = comm.alltoallv(sends);
+  auto recvs = comm.alltoallv(std::move(sends));
   const std::size_t z0 = fft_.local_z_start();
   density.assign(fft_.local_z_count() * ng * ng, 0.0);
   for (const auto& batch : recvs) {
@@ -371,7 +371,7 @@ void PMSolver::apply(comm::Communicator& comm, Particles& particles,
     if (d == me) continue;
     requests[d].assign(cells.data() + first[d], cells.data() + first[d + 1]);
   }
-  const auto asked = comm.alltoallv(requests);
+  const auto asked = comm.alltoallv(std::move(requests));
   std::vector<std::vector<double>> answers(p);
   for (std::size_t s = 0; s < p; ++s) {
     answers[s].resize(3 * asked[s].size());
@@ -379,7 +379,7 @@ void PMSolver::apply(comm::Communicator& comm, Particles& particles,
       read_owned(asked[s][q], &answers[s][3 * q]);
     }
   }
-  const auto answered = comm.alltoallv(answers);
+  const auto answered = comm.alltoallv(std::move(answers));
   for (std::size_t d = 0; d < p; ++d) {
     if (d == me) continue;
     CHECK(answered[d].size() == 3 * (first[d + 1] - first[d]));

@@ -29,7 +29,7 @@ TEST(World, PointToPointDelivers) {
   world.run([](Communicator& comm) {
     if (comm.rank() == 0) {
       std::vector<int> payload{1, 2, 3};
-      comm.send(1, /*tag=*/7, std::span<const int>(payload));
+      comm.send(1, /*tag=*/7, payload);
     } else {
       const auto got = comm.recv<int>(0, 7);
       ASSERT_EQ(got.size(), 3u);
@@ -166,6 +166,90 @@ TEST_P(CollectivesTest, AlltoallvPersonalizedExchange) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, CollectivesTest,
                          ::testing::Values(1, 2, 3, 4, 8));
 
+// --- the op contract: one op_count() tick per operation, and the payload
+// bytes handed to mailboxes (the rank's own included) in bytes_sent() -----
+
+TEST(CommContract, EachOpTicksOnceAndCountsItsBytes) {
+  const int p = 3;
+  World world(p);
+  world.run([p](Communicator& comm) {
+    const int me = comm.rank();
+    auto expect_one_op = [&](const char* what, std::size_t bytes,
+                             const auto& op) {
+      const std::uint64_t ops0 = comm.op_count();
+      const std::uint64_t bytes0 = comm.bytes_sent();
+      op();
+      EXPECT_EQ(comm.op_count() - ops0, 1u) << what << " on rank " << me;
+      EXPECT_EQ(comm.bytes_sent() - bytes0, bytes) << what << " on rank " << me;
+    };
+    if (me == 0) {
+      expect_one_op("send", 5 * sizeof(double),
+                    [&] { comm.send(1, /*tag=*/4, std::vector<double>(5)); });
+    } else if (me == 1) {
+      expect_one_op("recv", 0, [&] { comm.recv<double>(0, /*tag=*/4); });
+    }
+    expect_one_op("barrier", 0, [&] { comm.barrier(); });
+    std::vector<double> three(3, 1.0);
+    expect_one_op("allreduce", p * 3 * sizeof(double), [&] {
+      comm.allreduce(std::span<double>(three), ReduceOp::kSum);
+    });
+    // Root 2 sends to every other rank; the leaves send nothing.
+    std::vector<float> data(me == 2 ? 4 : 0);
+    expect_one_op("bcast", me == 2 ? (p - 1) * 4 * sizeof(float) : 0,
+                  [&] { comm.bcast(data, /*root=*/2); });
+    EXPECT_EQ(data.size(), 4u);
+    const std::vector<int> mine(static_cast<std::size_t>(me + 1));
+    expect_one_op("allgather", p * (me + 1) * sizeof(int),
+                  [&] { comm.allgather(mine); });
+    std::vector<std::vector<std::uint16_t>> sends(static_cast<std::size_t>(p));
+    std::size_t total = 0;
+    for (auto& s : sends) {
+      s.resize(static_cast<std::size_t>(2 + me));
+      total += s.size() * sizeof(std::uint16_t);  // the self-send counts
+    }
+    expect_one_op("alltoallv", total,
+                  [&] { comm.alltoallv(std::move(sends)); });
+  });
+}
+
+TEST(CommContract, AlltoallvHandsReceiversTheSendersBuffers) {
+  const int p = 3;
+  World world(p);
+  // Each sender records its buffers before the exchange; the receivers
+  // read the records after it, ordered by the mailbox hand-off.
+  std::vector<const int*> sent(static_cast<std::size_t>(p * p), nullptr);
+  world.run([&](Communicator& comm) {
+    const int me = comm.rank();
+    std::vector<std::vector<int>> sends(static_cast<std::size_t>(p));
+    for (int d = 0; d < p; ++d) {
+      auto& buf = sends[static_cast<std::size_t>(d)];
+      buf.assign(8, 10 * me + d);
+      sent[static_cast<std::size_t>(me * p + d)] = buf.data();
+    }
+    const auto recvs = comm.alltoallv(std::move(sends));
+    for (int s = 0; s < p; ++s) {
+      const auto& got = recvs[static_cast<std::size_t>(s)];
+      EXPECT_EQ(got.data(), sent[static_cast<std::size_t>(s * p + me)]);
+      EXPECT_EQ(got, std::vector<int>(8, 10 * s + me));
+    }
+  });
+}
+
+TEST(CommContractDeathTest, RecvOfAnotherElementTypeDies) {
+  EXPECT_DEATH(
+      {
+        World world(2);
+        world.run([](Communicator& comm) {
+          if (comm.rank() == 0) {
+            comm.send(1, /*tag=*/3, std::vector<int>{1, 2});
+          } else {
+            comm.recv<float>(0, /*tag=*/3);
+          }
+        });
+      },
+      "element type differs");
+}
+
 // --- fault domain: rank failures + hang watchdog ---------------------------
 
 WatchdogConfig fast_watchdog() {
@@ -182,9 +266,9 @@ TEST(WorldFaults, WatchdogConvertsMismatchedRecvIntoDiagnostic) {
   try {
     world.run([](Communicator& comm) {
       if (comm.rank() == 0) {
-        comm.recv_bytes(1, /*tag=*/7);
+        comm.recv<std::uint8_t>(1, /*tag=*/7);
       } else {
-        comm.recv_bytes(0, /*tag=*/9);  // deliberately mismatched
+        comm.recv<std::uint8_t>(0, /*tag=*/9);  // deliberately mismatched
       }
     });
     FAIL() << "expected DeadlockError";
@@ -281,7 +365,7 @@ TEST(WorldFaults, TrueDeadlockStillRaisesPlainDeadlockError) {
   World world(2, fast_watchdog());
   try {
     world.run([](Communicator& comm) {
-      comm.recv_bytes(1 - comm.rank(), /*tag=*/1);  // nobody sends
+      comm.recv<std::uint8_t>(1 - comm.rank(), /*tag=*/1);  // nobody sends
     });
     FAIL() << "expected DeadlockError";
   } catch (const RankLossError&) {

@@ -224,7 +224,7 @@ TEST(MetricsReduce, UnionAcrossRanksWithIdenticalResult) {
     // serialization via bcast from rank 0.
     const std::string mine = reduced.table();
     std::vector<std::uint8_t> root(mine.begin(), mine.end());
-    comm.bcast_bytes(root, 0);
+    comm.bcast(root, 0);
     EXPECT_EQ(mine, std::string(root.begin(), root.end()));
   });
 }
