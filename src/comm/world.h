@@ -272,12 +272,14 @@ class Communicator {
   void barrier();
 
   /// Element-wise reduction of `values` across ranks; result on all ranks.
+  /// Every rank folds ranks 0..size()-1 in order, so the result is
+  /// bitwise identical everywhere (a sum's association, a zero's sign).
   template <typename T>
   void allreduce(std::span<T> values, ReduceOp op) {
     const auto all = allgather(std::vector<T>(values.begin(), values.end()));
-    for (std::size_t s = 0; s < all.size(); ++s) {
-      if (static_cast<int>(s) == rank_) continue;
-      CHECK(all[s].size() == values.size());
+    for (const std::vector<T>& v : all) CHECK(v.size() == values.size());
+    std::copy(all[0].begin(), all[0].end(), values.begin());
+    for (std::size_t s = 1; s < all.size(); ++s) {
       for (std::size_t i = 0; i < values.size(); ++i) {
         switch (op) {
           case ReduceOp::kSum: values[i] += all[s][i]; break;

@@ -3,7 +3,9 @@
 // failures and the hang watchdog.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <numeric>
 
@@ -210,6 +212,32 @@ TEST(CommContract, EachOpTicksOnceAndCountsItsBytes) {
     expect_one_op("alltoallv", total,
                   [&] { comm.alltoallv(std::move(sends)); });
   });
+}
+
+TEST(CommContract, AllreduceIsBitwiseIdenticalOnEveryRank) {
+  // A sum whose value depends on its association, and signed zeros,
+  // whose min and max depend on the order of the operands.
+  const int p = 4;
+  const std::array<double, 4> addends{1e16, 1.0, -1e16, 1.0};
+  const std::array<double, 4> zeros{0.0, -0.0, 0.0, -0.0};
+  World world(p);
+  std::vector<std::array<std::uint64_t, 4>> bits(static_cast<std::size_t>(p));
+  world.run([&](Communicator& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    std::array<double, 2> mins{zeros[r], -zeros[r]};
+    comm.allreduce(std::span<double>(mins), ReduceOp::kMin);
+    bits[r] = {std::bit_cast<std::uint64_t>(
+                   comm.allreduce_scalar(addends[r], ReduceOp::kSum)),
+               std::bit_cast<std::uint64_t>(mins[0]),
+               std::bit_cast<std::uint64_t>(mins[1]),
+               std::bit_cast<std::uint64_t>(
+                   comm.allreduce_scalar(zeros[r], ReduceOp::kMax))};
+  });
+  // Ranks 0..p-1 folded in order: ((1e16 + 1) - 1e16) + 1.
+  EXPECT_EQ(bits[0][0], std::bit_cast<std::uint64_t>(1.0));
+  for (std::size_t r = 1; r < bits.size(); ++r) {
+    EXPECT_EQ(bits[r], bits[0]) << "rank " << r;
+  }
 }
 
 TEST(CommContract, AlltoallvHandsReceiversTheSendersBuffers) {
