@@ -36,10 +36,6 @@ struct LbConfig {
   double hysteresis = 0.8;
   /// Cap on the fraction of a donor's census cost shipped per step.
   double max_fraction = 0.5;
-  /// Blend the previous step's measured short-range phase seconds into
-  /// the census cost. Only takes effect when tracing is enabled (the
-  /// phase clock exists then); census-only decisions are deterministic.
-  bool use_measured = true;
 };
 
 struct SimConfig {

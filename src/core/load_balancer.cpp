@@ -174,7 +174,7 @@ LbDecision LoadBalancer::decide(const tree::ChainingMesh& mesh,
   const std::vector<double> bin_costs = lb_bin_costs(mesh);
   RankLoad mine;
   mine.census = std::accumulate(bin_costs.begin(), bin_costs.end(), 0.0);
-  mine.measured = config_.use_measured ? measured_seconds : 0.0;
+  mine.measured = measured_seconds;
   mine.nfine = nfine;
   const std::vector<RankLoad> loads = comm_.allgather_value(mine);
 

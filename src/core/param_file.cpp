@@ -298,20 +298,6 @@ std::vector<std::string> ParamFile::apply(SimConfig& config) const {
       if (auto v = get_double(key)) config.sdc.max_internal_energy = *v;
     } else if (key == "sdc_occupancy_factor") {
       if (auto v = get_double(key)) config.sdc.occupancy_factor = *v;
-    } else if (key == "ckpt_format") {
-      const auto v = get_int(key);
-      if (v && *v == static_cast<long long>(io::kCkptFormatVersion)) {
-        config.ckpt.format_version = static_cast<int>(*v);
-      } else {
-        // Only the current format can be *written*; accepting another
-        // number would silently produce files no reader exists for.
-        HACC_LOG_ERROR(
-            "param file: ckpt_format = '%s' rejected: this build writes "
-            "only format %u (chunked column checkpoints)",
-            get_string(key).value_or("").c_str(),
-            static_cast<unsigned>(io::kCkptFormatVersion));
-        rejected = true;
-      }
     } else if (key == "ckpt_diff") {
       if (auto v = get_bool(key)) config.ckpt.diff = *v;
     } else if (key == "ckpt_diff_max_chain") {
@@ -374,8 +360,6 @@ std::vector<std::string> ParamFile::apply(SimConfig& config) const {
             get_string(key).value_or("").c_str());
         rejected = true;
       }
-    } else if (key == "lb_use_measured") {
-      if (auto v = get_bool(key)) config.lb.use_measured = *v;
     } else {
       ok = false;
     }

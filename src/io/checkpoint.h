@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "core/particles.h"
-#include "io/generic_io.h"
+#include "io/column_file.h"
 #include "io/storage.h"
 #include "util/rng.h"
 

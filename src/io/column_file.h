@@ -24,15 +24,29 @@
 #include <vector>
 
 #include "core/particles.h"
-#include "io/generic_io.h"
 #include "util/snapshot.h"
 
 namespace crkhacc::io {
 
+/// Checkpoint wire-format version this build writes and reads.
+/// v1 was the opaque "GIO1" record blob (single whole-payload CRC);
+/// v2 is this chunked column format. v1 files are detected and rejected
+/// with a clear error, never misparsed.
+inline constexpr std::uint32_t kCkptFormatVersion = 2;
+
+/// Run metadata of one rank's checkpoint file.
+struct SnapshotMeta {
+  std::uint64_t step = 0;
+  double scale_factor = 1.0;
+  std::int32_t rank = 0;
+  std::int32_t num_ranks = 1;
+  std::uint64_t particle_count = 0;  ///< filled on write
+  std::uint32_t format_version = kCkptFormatVersion;  ///< filled on read
+};
+
 /// Knobs for the checkpoint writer/reader; embedded in both SimConfig
 /// (param file) and MultiTierConfig (writer).
 struct CkptConfig {
-  int format_version = static_cast<int>(kCkptFormatVersion);
   bool diff = false;          ///< write differential checkpoints
   int diff_max_chain = 7;     ///< diffs allowed after a full before the next forced full
   std::size_t chunk_bytes = util::PagedSnapshot::kDefaultPageBytes;

@@ -39,7 +39,6 @@
 
 #include "core/particles.h"
 #include "io/column_file.h"
-#include "io/generic_io.h"
 #include "io/storage.h"
 
 namespace crkhacc::io {

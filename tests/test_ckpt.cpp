@@ -15,7 +15,6 @@
 #include "io/checkpoint.h"
 #include "io/ckpt_audit.h"
 #include "io/column_file.h"
-#include "io/generic_io.h"
 #include "io/multi_tier.h"
 #include "io/storage.h"
 #include "util/crc32.h"

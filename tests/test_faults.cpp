@@ -14,7 +14,6 @@
 #include "comm/world.h"
 #include "core/simulation.h"
 #include "io/checkpoint.h"
-#include "io/generic_io.h"
 #include "io/multi_tier.h"
 #include "io/storage.h"
 #include "util/crc32.h"

@@ -1,5 +1,5 @@
-// Tests for the I/O stack: snapshot format, throttled storage tiers,
-// the multi-tier writer, checkpoint discovery/restart, fault injection.
+// Tests for the I/O stack: throttled storage tiers, the multi-tier
+// writer, checkpoint discovery/restart, fault injection.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -9,7 +9,6 @@
 
 #include "core/particles.h"
 #include "io/checkpoint.h"
-#include "io/generic_io.h"
 #include "io/multi_tier.h"
 #include "io/storage.h"
 #include "util/rng.h"
@@ -65,92 +64,6 @@ class TempDir {
   static inline int counter_ = 0;
   fs::path path_;
 };
-
-// --- snapshot format ----------------------------------------------------------
-
-TEST(GenericIo, EncodeDecodeRoundTripsAllFields) {
-  const auto p = sample_particles(50, 1, /*num_ghosts=*/5);
-  SnapshotMeta meta;
-  meta.step = 12;
-  meta.scale_factor = 0.42;
-  meta.rank = 3;
-  meta.num_ranks = 8;
-  const auto bytes = encode_snapshot(meta, p, /*include_ghosts=*/true);
-
-  SnapshotMeta decoded_meta;
-  Particles decoded;
-  ASSERT_TRUE(decode_snapshot(bytes, decoded_meta, decoded));
-  EXPECT_EQ(decoded_meta.step, 12u);
-  EXPECT_DOUBLE_EQ(decoded_meta.scale_factor, 0.42);
-  EXPECT_EQ(decoded_meta.rank, 3);
-  EXPECT_EQ(decoded_meta.particle_count, 50u);
-  ASSERT_EQ(decoded.size(), p.size());
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    EXPECT_EQ(decoded.id[i], p.id[i]);
-    EXPECT_EQ(decoded.x[i], p.x[i]);
-    EXPECT_EQ(decoded.vx[i], p.vx[i]);
-    EXPECT_EQ(decoded.mass[i], p.mass[i]);
-    EXPECT_EQ(decoded.u[i], p.u[i]);
-    EXPECT_EQ(decoded.rho[i], p.rho[i]);
-    EXPECT_EQ(decoded.hsml[i], p.hsml[i]);
-    EXPECT_EQ(decoded.metal[i], p.metal[i]);
-    EXPECT_EQ(decoded.species[i], p.species[i]);
-    EXPECT_EQ(decoded.bin[i], p.bin[i]);
-    EXPECT_EQ(decoded.ghost[i], p.ghost[i]);
-  }
-}
-
-TEST(GenericIo, GhostsSkippedWhenRequested) {
-  const auto p = sample_particles(50, 2, /*num_ghosts=*/10);
-  SnapshotMeta meta;
-  const auto bytes = encode_snapshot(meta, p, /*include_ghosts=*/false);
-  SnapshotMeta decoded_meta;
-  Particles decoded;
-  ASSERT_TRUE(decode_snapshot(bytes, decoded_meta, decoded));
-  EXPECT_EQ(decoded.size(), 40u);
-  for (std::size_t i = 0; i < decoded.size(); ++i) {
-    EXPECT_EQ(decoded.ghost[i], 0);
-  }
-}
-
-TEST(GenericIo, DetectsCorruption) {
-  const auto p = sample_particles(20, 3);
-  SnapshotMeta meta;
-  auto bytes = encode_snapshot(meta, p, true);
-  // Payload bit flip.
-  auto corrupted = bytes;
-  corrupted[bytes.size() - 10] ^= 0x40;
-  SnapshotMeta m;
-  Particles out;
-  EXPECT_FALSE(decode_snapshot(corrupted, m, out));
-  // Header bit flip.
-  corrupted = bytes;
-  corrupted[9] ^= 0x01;
-  EXPECT_FALSE(decode_snapshot(corrupted, m, out));
-  // Truncation.
-  corrupted = bytes;
-  corrupted.resize(bytes.size() - 1);
-  EXPECT_FALSE(decode_snapshot(corrupted, m, out));
-  // Garbage.
-  EXPECT_FALSE(decode_snapshot({1, 2, 3}, m, out));
-  // Pristine bytes still decode.
-  EXPECT_TRUE(decode_snapshot(bytes, m, out));
-}
-
-TEST(GenericIo, FileRoundTrip) {
-  TempDir dir;
-  const auto p = sample_particles(30, 4);
-  SnapshotMeta meta;
-  meta.step = 9;
-  const auto path = (dir.path() / "snap.gio").string();
-  ASSERT_TRUE(write_snapshot_file(path, meta, p, true));
-  SnapshotMeta m;
-  Particles out;
-  ASSERT_TRUE(read_snapshot_file(path, m, out));
-  EXPECT_EQ(m.step, 9u);
-  EXPECT_EQ(out.size(), 30u);
-  EXPECT_FALSE(read_snapshot_file((dir.path() / "missing.gio").string(), m, out));
-}
 
 // --- throttled store -------------------------------------------------------------
 
@@ -313,7 +226,11 @@ TEST(MultiTierWriter, AccountsBytes) {
     writer.write_checkpoint(meta, p);
   }
   writer.drain();
-  const auto expected = encode_snapshot(SnapshotMeta{}, p, true).size() * 3;
+  CkptFileMeta full;
+  full.snapshot.particle_count = p.size();
+  full.chunk_bytes = static_cast<std::uint32_t>(CkptConfig{}.chunk_bytes);
+  const auto expected =
+      encode_checkpoint(full, particle_columns(p)).size() * 3;
   EXPECT_EQ(writer.bytes_written(), expected);
 }
 
