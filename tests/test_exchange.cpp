@@ -275,6 +275,18 @@ not_a_real_key = 7
   EXPECT_EQ(unknown[0], "not_a_real_key");
 }
 
+TEST(ParamFile, RetiredSingleValuedKeysAreUnknown) {
+  // The writer always stamps the current checkpoint format, and the
+  // balancer blends measured costs whenever every rank has one, so
+  // neither former key selects anything: old files get the warning.
+  const auto old = ParamFile::parse("ckpt_format = 2\nlb_use_measured = true\n");
+  ASSERT_TRUE(old.has_value());
+  SimConfig config;
+  const auto flagged = old->apply(config);
+  EXPECT_EQ(std::set<std::string>(flagged.begin(), flagged.end()),
+            (std::set<std::string>{"ckpt_format", "lb_use_measured"}));
+}
+
 TEST(ParamFile, AppliesLaunchKeysAndRejectsDegenerateWarpSize) {
   const auto params = ParamFile::parse("launch_mode = naive\n");
   ASSERT_TRUE(params.has_value());
