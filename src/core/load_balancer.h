@@ -6,8 +6,8 @@
 // geometry). Once per PM step — between the chaining-mesh build and the
 // sub-cycled pair kernels — every rank cost-models its short-range work
 // from the CM bin-occupancy census (pair count ∝ Σ n_i·n_j over
-// neighbor bins), optionally blended with the previous step's measured
-// short-range phase seconds, and the ranks collectively agree on
+// neighbor bins), blended in traced runs with the previous step's
+// measured short-range phase seconds, and the ranks collectively agree on
 // (donor → helper) migrations to underloaded neighbor ranks
 // (comm::CartDecomposition::neighbors_of). For each substep of that
 // step the donor ships the owner-leaf tasks of its most expensive CM
