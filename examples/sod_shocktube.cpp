@@ -167,10 +167,7 @@ int main() {
   while (t < t_end - 1e-9) {
     tree::ChainingMesh mesh(tube, mesh_config);
     mesh.build(particles);
-    std::fill(particles.ax.begin(), particles.ax.end(), 0.0f);
-    std::fill(particles.ay.begin(), particles.ay.end(), 0.0f);
-    std::fill(particles.az.begin(), particles.az.end(), 0.0f);
-    std::fill(particles.du.begin(), particles.du.end(), 0.0f);
+    particles.clear_scratch();
     solver.compute_forces(particles, mesh, 1.0, nullptr, flops);
     solver.update_smoothing_lengths(particles, nullptr);
     const double dt = std::min(

@@ -10,7 +10,11 @@
 // mixed-precision split: the short-range solver runs single precision.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "util/assertions.h"
@@ -24,12 +28,20 @@ enum class Species : std::uint8_t {
   kBlackHole = 3,
 };
 
+enum class ColumnKind : std::uint8_t {
+  kState,    ///< checkpointed, carried by Record, compared bitwise
+  kScratch,  ///< per-step accumulator, recomputed after restore
+};
+
+/// Call f(column) for every entry of kParticleColumns, in list order.
+template <typename F>
+void for_each_column(F&& f);
+
 struct Particles {
   std::vector<std::uint64_t> id;
   std::vector<float> x, y, z;     ///< comoving position
   std::vector<float> vx, vy, vz;  ///< peculiar velocity
   std::vector<float> mass;
-  std::vector<std::uint8_t> species;
 
   // Hydro / subgrid state (meaningful for kGas; zero elsewhere).
   std::vector<float> u;      ///< specific internal energy
@@ -37,97 +49,70 @@ struct Particles {
   std::vector<float> hsml;   ///< smoothing length
   std::vector<float> metal;  ///< metal mass fraction
 
-  // Per-step work arrays.
+  std::vector<std::uint8_t> species;
+  std::vector<std::uint8_t> bin;    ///< hierarchical timestep bin
+  std::vector<std::uint8_t> ghost;  ///< 1 if overloaded replica, 0 if owned
+
+  // Per-step accumulators (the scratch columns).
   std::vector<float> ax, ay, az;  ///< acceleration accumulator
   std::vector<float> du;          ///< du/dt accumulator
-  std::vector<std::uint8_t> bin;  ///< hierarchical timestep bin
-  std::vector<std::uint8_t> ghost;  ///< 1 if overloaded replica, 0 if owned
 
   std::size_t size() const { return x.size(); }
   bool empty() const { return x.empty(); }
 
-  void clear() { resize(0); }
-
   void resize(std::size_t n) {
-    id.resize(n);
-    x.resize(n); y.resize(n); z.resize(n);
-    vx.resize(n); vy.resize(n); vz.resize(n);
-    mass.resize(n);
-    species.resize(n);
-    u.resize(n); rho.resize(n); hsml.resize(n); metal.resize(n);
-    ax.resize(n); ay.resize(n); az.resize(n); du.resize(n);
-    bin.resize(n); ghost.resize(n);
+    for_each_column([&](const auto& c) { (this->*c.member).resize(n); });
   }
 
   void reserve(std::size_t n) {
-    id.reserve(n);
-    x.reserve(n); y.reserve(n); z.reserve(n);
-    vx.reserve(n); vy.reserve(n); vz.reserve(n);
-    mass.reserve(n);
-    species.reserve(n);
-    u.reserve(n); rho.reserve(n); hsml.reserve(n); metal.reserve(n);
-    ax.reserve(n); ay.reserve(n); az.reserve(n); du.reserve(n);
-    bin.reserve(n); ghost.reserve(n);
+    for_each_column([&](const auto& c) { (this->*c.member).reserve(n); });
   }
 
-  /// Append a bare tracer; hydro/work fields are zero-initialized.
+  /// Append a bare tracer; every column not given here is zero.
   std::size_t push_back(std::uint64_t pid, Species sp, float px, float py,
                         float pz, float pvx, float pvy, float pvz, float m) {
     const std::size_t i = size();
-    id.push_back(pid);
-    x.push_back(px); y.push_back(py); z.push_back(pz);
-    vx.push_back(pvx); vy.push_back(pvy); vz.push_back(pvz);
-    mass.push_back(m);
-    species.push_back(static_cast<std::uint8_t>(sp));
-    u.push_back(0.0f); rho.push_back(0.0f); hsml.push_back(0.0f);
-    metal.push_back(0.0f);
-    ax.push_back(0.0f); ay.push_back(0.0f); az.push_back(0.0f);
-    du.push_back(0.0f);
-    bin.push_back(0); ghost.push_back(0);
+    for_each_column([&](const auto& c) { (this->*c.member).emplace_back(); });
+    id[i] = pid;
+    x[i] = px; y[i] = py; z[i] = pz;
+    vx[i] = pvx; vy[i] = pvy; vz[i] = pvz;
+    mass[i] = m;
+    species[i] = static_cast<std::uint8_t>(sp);
     return i;
   }
 
   /// Copy particle `src_index` of `src` onto the end of this container.
   void append_from(const Particles& src, std::size_t src_index) {
-    const std::size_t j = src_index;
-    HACC_ASSERT(j < src.size());
-    id.push_back(src.id[j]);
-    x.push_back(src.x[j]); y.push_back(src.y[j]); z.push_back(src.z[j]);
-    vx.push_back(src.vx[j]); vy.push_back(src.vy[j]); vz.push_back(src.vz[j]);
-    mass.push_back(src.mass[j]);
-    species.push_back(src.species[j]);
-    u.push_back(src.u[j]); rho.push_back(src.rho[j]);
-    hsml.push_back(src.hsml[j]); metal.push_back(src.metal[j]);
-    ax.push_back(src.ax[j]); ay.push_back(src.ay[j]); az.push_back(src.az[j]);
-    du.push_back(src.du[j]);
-    bin.push_back(src.bin[j]); ghost.push_back(src.ghost[j]);
-  }
-
-  /// Overwrite particle i with particle j (used by compaction/removal).
-  void copy_within(std::size_t dst, std::size_t src) {
-    id[dst] = id[src];
-    x[dst] = x[src]; y[dst] = y[src]; z[dst] = z[src];
-    vx[dst] = vx[src]; vy[dst] = vy[src]; vz[dst] = vz[src];
-    mass[dst] = mass[src];
-    species[dst] = species[src];
-    u[dst] = u[src]; rho[dst] = rho[src];
-    hsml[dst] = hsml[src]; metal[dst] = metal[src];
-    ax[dst] = ax[src]; ay[dst] = ay[src]; az[dst] = az[src];
-    du[dst] = du[src];
-    bin[dst] = bin[src]; ghost[dst] = ghost[src];
+    HACC_ASSERT(src_index < src.size());
+    for_each_column([&](const auto& c) {
+      (this->*c.member).push_back((src.*c.member)[src_index]);
+    });
   }
 
   /// Remove all particles whose keep[i] is false, preserving order of kept
   /// particles. keep.size() must equal size().
   void compact(const std::vector<bool>& keep) {
     HACC_ASSERT(keep.size() == size());
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < size(); ++r) {
-      if (!keep[r]) continue;
-      if (w != r) copy_within(w, r);
-      ++w;
-    }
-    resize(w);
+    const std::size_t first = static_cast<std::size_t>(
+        std::find(keep.begin(), keep.end(), false) - keep.begin());
+    if (first == keep.size()) return;
+    for_each_column([&](const auto& c) {
+      auto& column = this->*c.member;
+      std::size_t w = first;
+      for (std::size_t r = first + 1; r < keep.size(); ++r) {
+        if (keep[r]) column[w++] = column[r];
+      }
+      column.resize(w);
+    });
+  }
+
+  /// Zero every scratch column.
+  void clear_scratch() {
+    for_each_column([&](const auto& c) {
+      if (c.kind != ColumnKind::kScratch) return;
+      auto& column = this->*c.member;
+      std::fill(column.begin(), column.end(), 0);
+    });
   }
 
   bool is_gas(std::size_t i) const {
@@ -135,9 +120,9 @@ struct Particles {
   }
   bool is_owned(std::size_t i) const { return ghost[i] == 0; }
 
-  /// Fixed-size record used for wire transfer and checkpointing. Carries
-  /// the ghost flag so checkpoints can include the overloaded regions
-  /// (as the paper's checkpoints do) and restore them faithfully.
+  /// Fixed-size record of one particle's state columns: the exchange's
+  /// wire format, and the one other list of columns (tests pin it to the
+  /// state columns). Carries the ghost flag so replicas arrive marked.
   struct Record {
     std::uint64_t id;
     float x, y, z, vx, vy, vz, mass;
@@ -163,5 +148,72 @@ struct Particles {
     return i;
   }
 };
+
+/// One SoA column of Particles.
+template <typename T>
+struct ParticleColumn {
+  const char* name;
+  std::vector<T> Particles::*member;
+  ColumnKind kind;
+};
+
+/// Every column of Particles, once: the bulk operations, the SDC snapshot
+/// regions, the checkpoint columns and first_state_difference iterate it.
+/// The state columns come first, in CKC2 order (part of the file layout).
+inline constexpr std::tuple kParticleColumns{
+    ParticleColumn{"id", &Particles::id, ColumnKind::kState},
+    ParticleColumn{"x", &Particles::x, ColumnKind::kState},
+    ParticleColumn{"y", &Particles::y, ColumnKind::kState},
+    ParticleColumn{"z", &Particles::z, ColumnKind::kState},
+    ParticleColumn{"vx", &Particles::vx, ColumnKind::kState},
+    ParticleColumn{"vy", &Particles::vy, ColumnKind::kState},
+    ParticleColumn{"vz", &Particles::vz, ColumnKind::kState},
+    ParticleColumn{"mass", &Particles::mass, ColumnKind::kState},
+    ParticleColumn{"u", &Particles::u, ColumnKind::kState},
+    ParticleColumn{"rho", &Particles::rho, ColumnKind::kState},
+    ParticleColumn{"hsml", &Particles::hsml, ColumnKind::kState},
+    ParticleColumn{"metal", &Particles::metal, ColumnKind::kState},
+    ParticleColumn{"species", &Particles::species, ColumnKind::kState},
+    ParticleColumn{"bin", &Particles::bin, ColumnKind::kState},
+    ParticleColumn{"ghost", &Particles::ghost, ColumnKind::kState},
+    ParticleColumn{"ax", &Particles::ax, ColumnKind::kScratch},
+    ParticleColumn{"ay", &Particles::ay, ColumnKind::kScratch},
+    ParticleColumn{"az", &Particles::az, ColumnKind::kScratch},
+    ParticleColumn{"du", &Particles::du, ColumnKind::kScratch},
+};
+inline constexpr std::size_t kNumParticleColumns =
+    std::tuple_size_v<decltype(kParticleColumns)>;
+// A member added to Particles has to join the list.
+static_assert(sizeof(Particles) ==
+              kNumParticleColumns * sizeof(std::vector<float>));
+
+template <typename F>
+void for_each_column(F&& f) {
+  std::apply([&f](const auto&... column) { (f(column), ...); },
+             kParticleColumns);
+}
+
+/// Compare the state columns of `a` and `b` bit for bit (-0.0 differs
+/// from +0.0). Returns "" when they match, otherwise the first difference
+/// in list order: "size 8 vs 9" or "<column>[<index>]".
+inline std::string first_state_difference(const Particles& a,
+                                          const Particles& b) {
+  if (a.size() != b.size()) {
+    return "size " + std::to_string(a.size()) + " vs " +
+           std::to_string(b.size());
+  }
+  std::string where;
+  for_each_column([&](const auto& c) {
+    if (c.kind != ColumnKind::kState) return;
+    const auto& va = a.*c.member;
+    const auto& vb = b.*c.member;
+    for (std::size_t i = 0; i < va.size() && where.empty(); ++i) {
+      if (std::memcmp(&va[i], &vb[i], sizeof(va[i])) != 0) {
+        where = std::string(c.name) + "[" + std::to_string(i) + "]";
+      }
+    }
+  });
+  return where;
+}
 
 }  // namespace crkhacc

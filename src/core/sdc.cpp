@@ -18,6 +18,17 @@ constexpr const char* kCheckNames[kSdcNumChecks] = {
     "snapshot",
 };
 
+template <typename Region, typename P>
+std::vector<Region> regions_of(P& particles) {
+  std::vector<Region> regions;
+  regions.reserve(kNumParticleColumns);
+  for_each_column([&](const auto& c) {
+    auto& column = particles.*c.member;
+    regions.push_back({column.data(), column.size() * sizeof(column[0])});
+  });
+  return regions;
+}
+
 }  // namespace
 
 std::string sdc_check_names(std::uint32_t mask) {
@@ -233,29 +244,12 @@ std::string apply_flip(Particles& particles,
 
 std::vector<util::PagedSnapshot::Region> snapshot_regions(
     const Particles& particles) {
-  auto region = [](const auto& v) {
-    return util::PagedSnapshot::Region{v.data(), v.size() * sizeof(v[0])};
-  };
-  const Particles& p = particles;
-  return {region(p.id),   region(p.x),    region(p.y),    region(p.z),
-          region(p.vx),   region(p.vy),   region(p.vz),   region(p.mass),
-          region(p.species), region(p.u), region(p.rho),  region(p.hsml),
-          region(p.metal), region(p.ax),  region(p.ay),   region(p.az),
-          region(p.du),   region(p.bin),  region(p.ghost)};
+  return regions_of<util::PagedSnapshot::Region>(particles);
 }
 
 std::vector<util::PagedSnapshot::MutableRegion> snapshot_regions(
     Particles& particles) {
-  auto region = [](auto& v) {
-    return util::PagedSnapshot::MutableRegion{v.data(),
-                                              v.size() * sizeof(v[0])};
-  };
-  Particles& p = particles;
-  return {region(p.id),   region(p.x),    region(p.y),    region(p.z),
-          region(p.vx),   region(p.vy),   region(p.vz),   region(p.mass),
-          region(p.species), region(p.u), region(p.rho),  region(p.hsml),
-          region(p.metal), region(p.ax),  region(p.ay),   region(p.az),
-          region(p.du),   region(p.bin),  region(p.ghost)};
+  return regions_of<util::PagedSnapshot::MutableRegion>(particles);
 }
 
 }  // namespace crkhacc::core

@@ -193,8 +193,8 @@ class MemFaultInjector {
 std::string apply_flip(Particles& particles,
                        const MemFaultInjector::Flip& flip);
 
-/// Region lists covering every Particles field, in a fixed order shared
-/// by the const (capture) and mutable (restore) variants.
+/// Region lists covering every column of kParticleColumns, in list
+/// order, for the const (capture) and mutable (restore) variants.
 std::vector<util::PagedSnapshot::Region> snapshot_regions(
     const Particles& particles);
 std::vector<util::PagedSnapshot::MutableRegion> snapshot_regions(

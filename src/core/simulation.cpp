@@ -197,17 +197,11 @@ void Simulation::prime_solver_state() {
   if (!config_.hydro) return;
   tree::ChainingMesh gas_mesh = make_mesh();
   gas_mesh.build(particles_, gas_indices(), &pool_);
-  std::fill(particles_.ax.begin(), particles_.ax.end(), 0.0f);
-  std::fill(particles_.ay.begin(), particles_.ay.end(), 0.0f);
-  std::fill(particles_.az.begin(), particles_.az.end(), 0.0f);
-  std::fill(particles_.du.begin(), particles_.du.end(), 0.0f);
+  particles_.clear_scratch();
   sph_.compute_forces(particles_, gas_mesh, a_, nullptr, flops_, nullptr,
                       &pool_);
   sph_.update_smoothing_lengths(particles_, nullptr);
-  std::fill(particles_.ax.begin(), particles_.ax.end(), 0.0f);
-  std::fill(particles_.ay.begin(), particles_.ay.end(), 0.0f);
-  std::fill(particles_.az.begin(), particles_.az.end(), 0.0f);
-  std::fill(particles_.du.begin(), particles_.du.end(), 0.0f);
+  particles_.clear_scratch();
 }
 
 int Simulation::assign_timestep_bins(double dt_pm) {

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <mutex>
 #include <set>
+#include <type_traits>
 
 #include "util/assertions.h"
 #include "util/crc32.h"
@@ -79,37 +80,35 @@ std::uint32_t chunk_length(std::uint64_t col_bytes, std::uint32_t chunk_bytes,
       std::min<std::uint64_t>(chunk_bytes, col_bytes - begin));
 }
 
+/// Views of the state columns of `p`, in kParticleColumns order, each
+/// with the CKC2 dtype of its element type.
+template <typename View, typename P>
+std::vector<View> state_columns(P& p) {
+  std::vector<View> views;
+  views.reserve(kNumParticleColumns);
+  for_each_column([&](const auto& c) {
+    if (c.kind != ColumnKind::kState) return;
+    auto& column = p.*c.member;
+    using T = typename std::remove_reference_t<decltype(column)>::value_type;
+    constexpr ColumnType type =
+        std::is_same_v<T, float>           ? ColumnType::kF32
+        : std::is_same_v<T, std::uint64_t> ? ColumnType::kU64
+                                           : ColumnType::kU8;
+    static_assert(type != ColumnType::kU8 || std::is_same_v<T, std::uint8_t>);
+    views.push_back(
+        View{c.name, type, sizeof(T), column.data(), column.size()});
+  });
+  return views;
+}
+
 }  // namespace
 
 std::vector<ColumnView> particle_columns(const Particles& p) {
-  const std::uint64_t n = p.size();
-  auto u64 = [n](const char* name, const std::vector<std::uint64_t>& v) {
-    return ColumnView{name, ColumnType::kU64, 8, v.data(), n};
-  };
-  auto f32 = [n](const char* name, const std::vector<float>& v) {
-    return ColumnView{name, ColumnType::kF32, 4, v.data(), n};
-  };
-  auto u8 = [n](const char* name, const std::vector<std::uint8_t>& v) {
-    return ColumnView{name, ColumnType::kU8, 1, v.data(), n};
-  };
-  return {u64("id", p.id),
-          f32("x", p.x), f32("y", p.y), f32("z", p.z),
-          f32("vx", p.vx), f32("vy", p.vy), f32("vz", p.vz),
-          f32("mass", p.mass),
-          f32("u", p.u), f32("rho", p.rho), f32("hsml", p.hsml),
-          f32("metal", p.metal),
-          u8("species", p.species), u8("bin", p.bin), u8("ghost", p.ghost)};
+  return state_columns<ColumnView>(p);
 }
 
 std::vector<MutableColumnView> particle_columns(Particles& p) {
-  const auto views = particle_columns(static_cast<const Particles&>(p));
-  std::vector<MutableColumnView> out;
-  out.reserve(views.size());
-  for (const ColumnView& v : views) {
-    out.push_back(MutableColumnView{v.name, v.type, v.elem_size,
-                                    const_cast<void*>(v.data), v.elem_count});
-  }
-  return out;
+  return state_columns<MutableColumnView>(p);
 }
 
 std::vector<std::uint8_t> encode_checkpoint(const CkptFileMeta& meta,

@@ -78,10 +78,10 @@ struct MutableColumnView {
   std::uint64_t bytes() const { return elem_count * elem_size; }
 };
 
-/// The checkpointed particle columns (id, positions, velocities, mass,
-/// hydro state, species/bin/ghost) in canonical order. Per-step work
-/// arrays (ax/ay/az/du) are recomputed after restore and not serialized
-/// — same coverage as Particles::Record.
+/// The checkpointed particle columns: the state columns of
+/// kParticleColumns (core/particles.h), in its order, under its names,
+/// with the dtype of each column's element type. Scratch columns
+/// (ax/ay/az/du) are recomputed after restore and not serialized.
 std::vector<ColumnView> particle_columns(const Particles& p);
 std::vector<MutableColumnView> particle_columns(Particles& p);
 

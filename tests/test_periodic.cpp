@@ -84,10 +84,7 @@ Forces evaluate(Particles p, tree::ChainingMesh mesh,
   f.gx.assign(p.ax.begin(), p.ax.begin() + owned);
   f.gy.assign(p.ay.begin(), p.ay.begin() + owned);
   f.gz.assign(p.az.begin(), p.az.begin() + owned);
-  std::fill(p.ax.begin(), p.ax.end(), 0.0f);
-  std::fill(p.ay.begin(), p.ay.end(), 0.0f);
-  std::fill(p.az.begin(), p.az.end(), 0.0f);
-  std::fill(p.du.begin(), p.du.end(), 0.0f);
+  p.clear_scratch();
   sph::SphSolver solver(sph::SphConfig{});
   solver.compute_forces(p, mesh, 1.0, nullptr, flops);
   f.ax.assign(p.ax.begin(), p.ax.begin() + owned);

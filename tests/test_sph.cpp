@@ -233,10 +233,7 @@ struct SolverSetup {
   }
 
   void evaluate(double a = 1.0, util::ThreadPool* pool = nullptr) {
-    std::fill(particles.ax.begin(), particles.ax.end(), 0.0f);
-    std::fill(particles.ay.begin(), particles.ay.end(), 0.0f);
-    std::fill(particles.az.begin(), particles.az.end(), 0.0f);
-    std::fill(particles.du.begin(), particles.du.end(), 0.0f);
+    particles.clear_scratch();
     solver.compute_forces(particles, mesh, a, nullptr, flops, nullptr, pool);
   }
 };
