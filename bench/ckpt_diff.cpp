@@ -69,14 +69,6 @@ void drift_slice(Particles& p, std::uint64_t step) {
   }
 }
 
-bool same_state(const Particles& a, const Particles& b) {
-  return a.size() == b.size() && a.id == b.id && a.x == b.x && a.y == b.y &&
-         a.z == b.z && a.vx == b.vx && a.vy == b.vy && a.vz == b.vz &&
-         a.mass == b.mass && a.u == b.u && a.rho == b.rho &&
-         a.hsml == b.hsml && a.metal == b.metal && a.species == b.species &&
-         a.bin == b.bin && a.ghost == b.ghost;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -159,7 +151,7 @@ int main(int argc, char** argv) {
   io::SnapshotMeta restored_meta;
   Particles restored;
   if (!io::restore_checkpoint(pfs, steps, 0, restored_meta, restored) ||
-      !same_state(restored, p)) {
+      !first_state_difference(restored, p).empty()) {
     std::printf("FAIL: chain restore is not bitwise identical to the live "
                 "state\n");
     ok = false;

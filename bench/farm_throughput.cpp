@@ -18,7 +18,7 @@
 //     scenarios/hour through the farm >= 1.3x a serial baseline running
 //     the same scenarios one at a time on private contexts (the
 //     pre-farm workflow), and every job's final state bitwise equal
-//     (memcmp per column) to its standalone run.
+//     (every state column) to its standalone run.
 //
 //   Phase B (fairness + interleaving): fewer jobs, several slices each,
 //     so round-robin actually interleaves. Gates the completion-time
@@ -93,23 +93,6 @@ core::SimConfig config_for(const core::SimConfig& base, int j) {
   return config;
 }
 
-template <typename T>
-bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
-}
-
-bool bitwise_equal(const Particles& a, const Particles& b) {
-  return same_bits(a.id, b.id) && same_bits(a.x, b.x) && same_bits(a.y, b.y) &&
-         same_bits(a.z, b.z) && same_bits(a.vx, b.vx) &&
-         same_bits(a.vy, b.vy) && same_bits(a.vz, b.vz) &&
-         same_bits(a.mass, b.mass) && same_bits(a.u, b.u) &&
-         same_bits(a.rho, b.rho) && same_bits(a.hsml, b.hsml) &&
-         same_bits(a.metal, b.metal) && same_bits(a.species, b.species) &&
-         same_bits(a.ghost, b.ghost);
-}
-
 /// The pre-farm workflow: each scenario standalone, sequential, with a
 /// private context (own pool, own tables, own IC draw + prime).
 /// Returns the wall seconds of the whole pass.
@@ -161,9 +144,12 @@ bool check_bitwise(const core::ServiceReport& report,
   }
   for (std::size_t j = 0; j < report.jobs.size() && j < reference.size();
        ++j) {
-    if (!bitwise_equal(report.jobs[j].final_particles, reference[j])) {
+    const std::string diff =
+        first_state_difference(report.jobs[j].final_particles, reference[j]);
+    if (!diff.empty()) {
       std::printf("FAIL: %s job %s final state differs from its standalone "
-                  "run\n", phase, report.jobs[j].name.c_str());
+                  "run at %s\n", phase, report.jobs[j].name.c_str(),
+                  diff.c_str());
       ok = false;
     }
   }

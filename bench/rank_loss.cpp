@@ -16,8 +16,8 @@
 //      sample of each is a ~0.1 s wall clock on a shared host, too
 //      noisy to hold at 1.10x alone;
 //   2. correctness — in every pair, the shrunken run's final particle
-//      state is bitwise identical to that fault-free restart (memcmp
-//      per column);
+//      state is bitwise identical to that fault-free restart in every
+//      state column;
 //   3. bookkeeping — in every pair, exactly one rank file is adopted and
 //      the campaign reports one loss and one shrink recovery.
 //
@@ -115,22 +115,6 @@ void epoch_program(comm::Communicator& comm, const core::CampaignEpoch& epoch,
   }
 }
 
-template <typename T>
-bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() &&
-         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
-}
-
-bool bitwise_equal(const Particles& a, const Particles& b) {
-  return same_bits(a.id, b.id) && same_bits(a.x, b.x) && same_bits(a.y, b.y) &&
-         same_bits(a.z, b.z) && same_bits(a.vx, b.vx) &&
-         same_bits(a.vy, b.vy) && same_bits(a.vz, b.vz) &&
-         same_bits(a.mass, b.mass) && same_bits(a.u, b.u) &&
-         same_bits(a.rho, b.rho) && same_bits(a.hsml, b.hsml) &&
-         same_bits(a.metal, b.metal) && same_bits(a.species, b.species) &&
-         same_bits(a.ghost, b.ghost);
-}
-
 struct Stores {
   io::ThrottledStore pfs;
   std::vector<std::unique_ptr<io::ThrottledStore>> nvmes;
@@ -218,10 +202,11 @@ PairOutcome run_pair(const fs::path& root, const core::SimConfig& config,
   }
   for (int r = 0; r < ranks - 1; ++r) {
     const auto idx = static_cast<std::size_t>(r);
-    if (!bitwise_equal(shrunk[idx].final_particles,
-                       reference[idx].final_particles)) {
+    const std::string diff = first_state_difference(
+        shrunk[idx].final_particles, reference[idx].final_particles);
+    if (!diff.empty()) {
       std::printf("FAIL: rank %d final state differs from the fault-free "
-                  "restart\n", r);
+                  "restart at %s\n", r, diff.c_str());
       out.ok = false;
     }
   }

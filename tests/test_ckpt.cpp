@@ -71,25 +71,6 @@ Particles sample_particles(std::size_t n, std::uint64_t seed,
   return p;
 }
 
-void expect_same_particles(const Particles& got, const Particles& expect) {
-  ASSERT_EQ(got.size(), expect.size());
-  EXPECT_EQ(got.id, expect.id);
-  EXPECT_EQ(got.x, expect.x);
-  EXPECT_EQ(got.y, expect.y);
-  EXPECT_EQ(got.z, expect.z);
-  EXPECT_EQ(got.vx, expect.vx);
-  EXPECT_EQ(got.vy, expect.vy);
-  EXPECT_EQ(got.vz, expect.vz);
-  EXPECT_EQ(got.mass, expect.mass);
-  EXPECT_EQ(got.u, expect.u);
-  EXPECT_EQ(got.rho, expect.rho);
-  EXPECT_EQ(got.hsml, expect.hsml);
-  EXPECT_EQ(got.metal, expect.metal);
-  EXPECT_EQ(got.species, expect.species);
-  EXPECT_EQ(got.bin, expect.bin);
-  EXPECT_EQ(got.ghost, expect.ghost);
-}
-
 /// Force the read-only overload on a mutable Particles.
 std::vector<ColumnView> const_cols(const Particles& p) {
   return particle_columns(p);
@@ -151,7 +132,7 @@ TEST(CkptFormat, FullRoundTripCarriesMeta) {
   out.resize(100);
   const auto dest = particle_columns(out);
   ASSERT_TRUE(apply_chunks(parsed, bytes, dest));
-  expect_same_particles(out, p);
+  EXPECT_EQ(first_state_difference(out, p), "");
 }
 
 TEST(CkptFormat, ChunkDamageIsLocalized) {
@@ -249,7 +230,7 @@ TEST(CkptFormat, UnknownColumnSkippedOnApply) {
   Particles out;
   out.resize(p.size());
   ASSERT_TRUE(apply_chunks(parsed, bytes, particle_columns(out)));
-  expect_same_particles(out, p);
+  EXPECT_EQ(first_state_difference(out, p), "");
 }
 
 TEST(CkptFormat, MismatchedDestinationFails) {
@@ -298,7 +279,7 @@ TEST(CkptFormat, DiffMaskCarriesOnlySelectedChunks) {
   Particles out = p;
   out.x = old_x;
   ASSERT_TRUE(apply_chunks(parsed, bytes, particle_columns(out)));
-  expect_same_particles(out, p);
+  EXPECT_EQ(first_state_difference(out, p), "");
 }
 
 // --- differential planner --------------------------------------------------
@@ -457,7 +438,7 @@ TEST(MultiTierDiff, ChainRestoreBitwiseIdenticalToLiveState) {
   ASSERT_TRUE(restore_checkpoint(tiers.pfs, 3, 0, meta, restored));
   EXPECT_EQ(meta.step, 3u);
   EXPECT_DOUBLE_EQ(meta.scale_factor, 0.3);
-  expect_same_particles(restored, p);
+  EXPECT_EQ(first_state_difference(restored, p), "");
 
   // Intermediate chain states restore too (diff of step 2 over the full).
   Particles mid;
@@ -508,7 +489,7 @@ TEST(MultiTierDiff, PruneNeverDropsLiveChainAncestors) {
   SnapshotMeta meta;
   Particles restored;
   ASSERT_TRUE(restore_checkpoint(tiers.pfs, 6, 0, meta, restored));
-  expect_same_particles(restored, p);
+  EXPECT_EQ(first_state_difference(restored, p), "");
 }
 
 TEST(MultiTierDiff, PruneDropsSupersededChains) {
@@ -537,7 +518,7 @@ TEST(MultiTierDiff, PruneDropsSupersededChains) {
   SnapshotMeta meta;
   Particles restored;
   ASSERT_TRUE(restore_checkpoint(tiers.pfs, 6, 0, meta, restored));
-  expect_same_particles(restored, p);
+  EXPECT_EQ(first_state_difference(restored, p), "");
 }
 
 TEST(MultiTierDiff, RedundantLocalKeptAfterBleed) {
@@ -686,7 +667,7 @@ TEST(CkptAudit, RepairsChunksFromRedundantTier) {
   EXPECT_EQ(healed, pristine);
   Particles restored;
   ASSERT_TRUE(restore_checkpoint(tiers.pfs, 1, 0, meta, restored));
-  expect_same_particles(restored, p);
+  EXPECT_EQ(first_state_difference(restored, p), "");
 }
 
 TEST(CkptAudit, RestampsLostMarkerFromProvablyIntactPayload) {
@@ -729,7 +710,7 @@ TEST(CkptAudit, ReplacesMissingPayloadFromSource) {
   EXPECT_TRUE(report.clean());
   Particles restored;
   ASSERT_TRUE(restore_checkpoint(tiers.pfs, 1, 0, meta, restored));
-  expect_same_particles(restored, p);
+  EXPECT_EQ(first_state_difference(restored, p), "");
 }
 
 TEST(CkptAudit, FlagsBrokenDiffChains) {
@@ -790,7 +771,7 @@ TEST(CkptAudit, SeededStorageFaultsRepairedFromLocalTier) {
   EXPECT_GT(report.chunks_repaired + report.files_repaired, 0u);
   Particles restored;
   ASSERT_TRUE(restore_checkpoint(tiers.pfs, 1, 0, meta, restored));
-  expect_same_particles(restored, p);
+  EXPECT_EQ(first_state_difference(restored, p), "");
 }
 
 }  // namespace
@@ -829,19 +810,6 @@ class ScriptedFault : public io::FaultInjector {
  private:
   std::vector<std::uint64_t> fail_trials_;
 };
-
-void expect_same_state(const Particles& got, const Particles& expect) {
-  ASSERT_EQ(got.size(), expect.size());
-  EXPECT_EQ(got.id, expect.id);
-  EXPECT_EQ(got.x, expect.x);
-  EXPECT_EQ(got.y, expect.y);
-  EXPECT_EQ(got.z, expect.z);
-  EXPECT_EQ(got.vx, expect.vx);
-  EXPECT_EQ(got.vy, expect.vy);
-  EXPECT_EQ(got.vz, expect.vz);
-  EXPECT_EQ(got.u, expect.u);
-  EXPECT_EQ(got.rho, expect.rho);
-}
 
 TEST(SimulationCkpt, DiffChainRecoveryBitwiseMatchesFaultFreeRun) {
   // A campaign checkpointing differentially, interrupted and recovered
@@ -900,8 +868,8 @@ TEST(SimulationCkpt, DiffChainRecoveryBitwiseMatchesFaultFreeRun) {
       EXPECT_EQ(result.checkpoint_fallbacks, 0u);
       EXPECT_EQ(result.restarts_from_ics, 0u);
 
-      expect_same_state(sim.particles(),
-                        reference[static_cast<std::size_t>(comm.rank())]);
+      const auto& want = reference[static_cast<std::size_t>(comm.rank())];
+      EXPECT_EQ(first_state_difference(sim.particles(), want), "");
       writer.drain();
       comm.barrier();
     });

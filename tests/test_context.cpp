@@ -6,7 +6,6 @@
 // MemFaultInjector armed-refs contract.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -32,27 +31,6 @@ SimConfig tiny_config() {
   config.bins.max_depth = 2;
   config.seed = 321;
   return config;
-}
-
-bool same_floats(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
-}
-
-void expect_bitwise_equal(const Particles& a, const Particles& b) {
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.id, b.id);
-  EXPECT_TRUE(same_floats(a.x, b.x));
-  EXPECT_TRUE(same_floats(a.y, b.y));
-  EXPECT_TRUE(same_floats(a.z, b.z));
-  EXPECT_TRUE(same_floats(a.vx, b.vx));
-  EXPECT_TRUE(same_floats(a.vy, b.vy));
-  EXPECT_TRUE(same_floats(a.vz, b.vz));
-  EXPECT_TRUE(same_floats(a.mass, b.mass));
-  EXPECT_TRUE(same_floats(a.u, b.u));
-  EXPECT_TRUE(same_floats(a.rho, b.rho));
-  EXPECT_TRUE(same_floats(a.hsml, b.hsml));
 }
 
 Particles run_private(const SimConfig& config) {
@@ -89,7 +67,7 @@ TEST(SimContext, SharedContextBitwiseIdenticalToPrivate) {
         sim.initialize();
         const auto result = sim.run();
         ASSERT_TRUE(result.completed);
-        expect_bitwise_equal(sim.particles(), reference);
+        EXPECT_EQ(first_state_difference(sim.particles(), reference), "");
       }
       // The second run must have been served from the cache, so the
       // identity above covered the fast-path, not two cold starts.

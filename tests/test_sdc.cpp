@@ -510,20 +510,6 @@ class ScriptedFlips : public core::MemFaultInjector {
   std::vector<std::uint64_t> opportunities_;
 };
 
-void expect_bitwise_equal(const Particles& got, const Particles& expect) {
-  ASSERT_EQ(got.size(), expect.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got.id[i], expect.id[i]) << i;
-    ASSERT_EQ(got.x[i], expect.x[i]) << i;
-    ASSERT_EQ(got.y[i], expect.y[i]) << i;
-    ASSERT_EQ(got.z[i], expect.z[i]) << i;
-    ASSERT_EQ(got.vx[i], expect.vx[i]) << i;
-    ASSERT_EQ(got.vy[i], expect.vy[i]) << i;
-    ASSERT_EQ(got.vz[i], expect.vz[i]) << i;
-    ASSERT_EQ(got.mass[i], expect.mass[i]) << i;
-  }
-}
-
 TEST(SdcDrill, RollbackReplayMatchesUninjectedRunBitwise) {
   // The acceptance drill: a seeded bit flip lands in a live particle
   // array mid-step; the audit detects it, the step rolls back to the
@@ -567,8 +553,8 @@ TEST(SdcDrill, RollbackReplayMatchesUninjectedRunBitwise) {
     ASSERT_EQ(result.reports.size(), 3u);
     EXPECT_TRUE(result.reports[1].sdc.failed_checks != 0u);
 
-    expect_bitwise_equal(sim.particles(),
-                         reference[static_cast<std::size_t>(comm.rank())]);
+    const auto& want = reference[static_cast<std::size_t>(comm.rank())];
+    EXPECT_EQ(first_state_difference(sim.particles(), want), "");
   });
 }
 
@@ -625,8 +611,8 @@ TEST(SdcDrill, PersistentFlipsExhaustReplayBudgetAndEscalate) {
     EXPECT_EQ(result.restarts_from_ics, 0u);
     EXPECT_EQ(result.steps_done, 3u);
 
-    expect_bitwise_equal(sim.particles(),
-                         reference[static_cast<std::size_t>(comm.rank())]);
+    const auto& want = reference[static_cast<std::size_t>(comm.rank())];
+    EXPECT_EQ(first_state_difference(sim.particles(), want), "");
     writer.drain();
     comm.barrier();
   });
@@ -707,8 +693,8 @@ TEST(SdcDrill, EscalationWithCorruptNewestCheckpointFallsBack) {
     // window has passed).
     EXPECT_EQ(result.steps_done, 2u);
 
-    expect_bitwise_equal(sim.particles(),
-                         reference[static_cast<std::size_t>(comm.rank())]);
+    const auto& want = reference[static_cast<std::size_t>(comm.rank())];
+    EXPECT_EQ(first_state_difference(sim.particles(), want), "");
     writer.drain();
     comm.barrier();
   });
@@ -738,8 +724,8 @@ TEST(SdcDrill, GuardrailsOffAndOnAgreeBitwiseWithoutFaults) {
     ASSERT_TRUE(result.completed);
     EXPECT_EQ(result.sdc_audits, 3u);
     EXPECT_EQ(result.sdc_detections, 0u);
-    expect_bitwise_equal(sim.particles(),
-                         reference[static_cast<std::size_t>(comm.rank())]);
+    const auto& want = reference[static_cast<std::size_t>(comm.rank())];
+    EXPECT_EQ(first_state_difference(sim.particles(), want), "");
   });
 }
 

@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -84,25 +83,6 @@ ScenarioJob job_named(const std::string& name, const SimConfig& config,
   job.config = config;
   job.params = params;
   return job;
-}
-
-bool same_floats(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
-}
-
-void expect_bitwise_equal(const Particles& a, const Particles& b) {
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.id, b.id);
-  EXPECT_TRUE(same_floats(a.x, b.x));
-  EXPECT_TRUE(same_floats(a.y, b.y));
-  EXPECT_TRUE(same_floats(a.z, b.z));
-  EXPECT_TRUE(same_floats(a.vx, b.vx));
-  EXPECT_TRUE(same_floats(a.vy, b.vy));
-  EXPECT_TRUE(same_floats(a.vz, b.vz));
-  EXPECT_TRUE(same_floats(a.u, b.u));
-  EXPECT_TRUE(same_floats(a.rho, b.rho));
 }
 
 // --- draining the queue ------------------------------------------------------
@@ -267,7 +247,9 @@ TEST(ScenarioService, InterleavedSlicedJobsMatchStandaloneBitwise) {
   ASSERT_TRUE(report.aggregate.completed);
   ASSERT_EQ(report.jobs.size(), reference.size());
   for (std::size_t j = 0; j < reference.size(); ++j) {
-    expect_bitwise_equal(report.jobs[j].final_particles, reference[j]);
+    EXPECT_EQ(
+        first_state_difference(report.jobs[j].final_particles, reference[j]),
+        "");
   }
 }
 
