@@ -183,7 +183,6 @@ int main(int argc, char** argv) {
   config.threads = threads;
   config.sdc.enabled = sdc_on;
   config.trace.enabled = !trace_file.empty();
-  config.trace.file = trace_file;
   config.ckpt.diff = ckpt_diff;
   config.ckpt.audit_on_restore = ckpt_audit_on_restore;
   // The audit needs a redundant copy to repair from: keep the node-local

@@ -265,8 +265,6 @@ std::vector<std::string> ParamFile::apply(SimConfig& config) const {
       if (auto v = get_int(key)) config.threads = static_cast<int>(*v);
     } else if (key == "trace") {
       if (auto v = get_bool(key)) config.trace.enabled = *v;
-    } else if (key == "trace_file") {
-      if (auto v = get_string(key)) config.trace.file = *v;
     } else if (key == "trace_buffer_events") {
       const auto v = get_int(key);
       if (v && *v >= 1) {

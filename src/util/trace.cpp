@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string_view>
@@ -297,13 +296,6 @@ std::string TraceRecorder::chrome_json_document(
   }
   out += "\n]}\n";
   return out;
-}
-
-bool TraceRecorder::export_chrome_json(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << chrome_json_document({chrome_events_fragment()});
-  return static_cast<bool>(out);
 }
 
 }  // namespace crkhacc::util

@@ -52,8 +52,6 @@ struct TraceConfig {
   /// sizeof(event) * buffer_events * threads; overflow drops the newest
   /// event and counts it.
   std::size_t buffer_events = 1 << 15;
-  /// Chrome trace_event JSON output path ("" = no file export).
-  std::string file;
 };
 
 /// One committed (flushed) span.
@@ -167,8 +165,6 @@ class TraceRecorder {
   /// Wrap rank fragments into a complete Chrome JSON document.
   static std::string chrome_json_document(
       const std::vector<std::string>& fragments);
-  /// Write this rank's events as a standalone Chrome JSON file.
-  bool export_chrome_json(const std::string& path) const;
 
  private:
   ThreadLog* local_log();

@@ -276,15 +276,18 @@ not_a_real_key = 7
 }
 
 TEST(ParamFile, RetiredSingleValuedKeysAreUnknown) {
-  // The writer always stamps the current checkpoint format, and the
-  // balancer blends measured costs whenever every rank has one, so
-  // neither former key selects anything: old files get the warning.
-  const auto old = ParamFile::parse("ckpt_format = 2\nlb_use_measured = true\n");
+  // The writer always stamps the current checkpoint format, the
+  // balancer blends measured costs whenever every rank has one, and no
+  // code wrote a trace to the `trace_file` path, so none of the former
+  // keys selects anything: old files get the warning.
+  const auto old = ParamFile::parse(
+      "ckpt_format = 2\nlb_use_measured = true\ntrace_file = t.json\n");
   ASSERT_TRUE(old.has_value());
   SimConfig config;
   const auto flagged = old->apply(config);
   EXPECT_EQ(std::set<std::string>(flagged.begin(), flagged.end()),
-            (std::set<std::string>{"ckpt_format", "lb_use_measured"}));
+            (std::set<std::string>{"ckpt_format", "lb_use_measured",
+                                   "trace_file"}));
 }
 
 TEST(ParamFile, AppliesLaunchKeysAndRejectsDegenerateWarpSize) {
