@@ -297,7 +297,6 @@ class Simulation {
 
   // --- accessors ----------------------------------------------------------
   const Particles& particles() const { return particles_; }
-  Particles& mutable_particles() { return particles_; }
   double scale_factor() const { return a_; }
   std::uint64_t current_step() const { return step_; }
   const SimConfig& config() const { return config_; }

@@ -198,11 +198,6 @@ PlanCacheStats plan_cache_stats() {
   return stats;
 }
 
-void reset_plan_cache_stats() {
-  g_plan_hits.store(0, std::memory_order_relaxed);
-  g_plan_misses.store(0, std::memory_order_relaxed);
-}
-
 void transform(std::vector<Complex>& data, bool inverse) {
   transform_lines(data.data(), data.size(), 1, 1, 0, inverse);
 }

@@ -59,8 +59,4 @@ struct PlanCacheStats {
 /// Snapshot of the process-wide plan-cache counters.
 PlanCacheStats plan_cache_stats();
 
-/// Reset the counters (tests / benches). The cached plans themselves are
-/// kept — only the accounting restarts.
-void reset_plan_cache_stats();
-
 }  // namespace crkhacc::fft

@@ -101,11 +101,6 @@ class ChainingMesh {
   std::size_t num_leaves() const { return leaves_.size(); }
   const Leaf& leaf(std::size_t l) const { return leaves_[l]; }
 
-  /// Particle indices of leaf l, in permutation order.
-  const std::uint32_t* leaf_particles(std::size_t l) const {
-    return perm_.data() + leaves_[l].begin;
-  }
-
   /// Permutation array: particle index at sorted slot s.
   const std::vector<std::uint32_t>& permutation() const { return perm_; }
 

@@ -23,7 +23,6 @@ class Bvh {
       std::span<const float> z, std::uint32_t leaf_size = 8);
 
   std::size_t size() const { return count_; }
-  std::size_t num_nodes() const { return nodes_.size(); }
 
   /// Call visit(point_index) for every point within `radius` of q.
   template <typename Visitor>

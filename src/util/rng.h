@@ -30,11 +30,6 @@ class SplitMix64 {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
-  /// Uniform float in [0, 1).
-  float next_float() {
-    return static_cast<float>(next_u64() >> 40) * 0x1.0p-24f;
-  }
-
   /// Standard normal via Box-Muller (uses two uniforms per pair).
   double next_gaussian() {
     if (have_cached_) {

@@ -102,11 +102,6 @@ std::size_t PagedSnapshot::region_bytes(std::size_t r) const {
   return buffers_[active_].region_bytes[r];
 }
 
-std::span<const std::uint32_t> PagedSnapshot::page_crcs() const {
-  CHECK(valid());
-  return buffers_[active_].page_crc;
-}
-
 std::size_t PagedSnapshot::region_first_page(std::size_t r) const {
   CHECK(valid());
   CHECK(align_regions_);

@@ -78,9 +78,6 @@ class PagedSnapshot {
   std::size_t num_regions() const;
   std::size_t region_bytes(std::size_t r) const;
 
-  /// Per-page CRC32s of the active capture.
-  std::span<const std::uint32_t> page_crcs() const;
-
   /// First page index / page count of region `r` in the active capture.
   /// Requires `align_regions` mode (CHECK), where the mapping is exact.
   std::size_t region_first_page(std::size_t r) const;
