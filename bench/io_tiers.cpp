@@ -75,7 +75,7 @@ IoOutcome run_campaign(int ranks, int steps, std::size_t particles_per_rank,
       // "Simulation work" between checkpoints overlaps the async bleed.
       Stopwatch compute;
       volatile double sink = 0.0;
-      while (compute.seconds() < 0.05) sink += 1.0;
+      while (compute.seconds() < 0.05) sink = sink + 1.0;
       (void)sink;
     }
     writer.drain();
