@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <span>
 
 #include "tree/chaining_mesh.h"
@@ -28,6 +29,18 @@ std::vector<Region> regions_of(P& particles) {
   });
   return regions;
 }
+
+/// MemFaultInjector's guarded float columns in drill order: a flip's
+/// `field` indexes this list for both the log name and the column.
+struct GuardedColumn {
+  const char* name;
+  std::vector<float> Particles::*member;
+};
+constexpr GuardedColumn kGuardedColumns[] = {
+    {"x", &Particles::x},   {"y", &Particles::y},   {"z", &Particles::z},
+    {"vx", &Particles::vx}, {"vy", &Particles::vy}, {"vz", &Particles::vz},
+    {"u", &Particles::u},   {"mass", &Particles::mass}};
+static_assert(std::size(kGuardedColumns) == MemFaultInjector::kFieldCount);
 
 }  // namespace
 
@@ -204,10 +217,8 @@ MemFaultInjector::~MemFaultInjector() {
 }
 
 const char* MemFaultInjector::field_name(std::uint32_t field) {
-  static constexpr const char* kNames[kFieldCount] = {
-      "x", "y", "z", "vx", "vy", "vz", "u", "mass"};
   CHECK(field < kFieldCount);
-  return kNames[field];
+  return kGuardedColumns[field].name;
 }
 
 std::optional<MemFaultInjector::Flip> MemFaultInjector::draw(
@@ -224,11 +235,8 @@ std::optional<MemFaultInjector::Flip> MemFaultInjector::draw(
 std::string apply_flip(Particles& particles,
                        const MemFaultInjector::Flip& flip) {
   CHECK(!particles.empty());
-  std::vector<float>* fields[MemFaultInjector::kFieldCount] = {
-      &particles.x,  &particles.y,  &particles.z,  &particles.vx,
-      &particles.vy, &particles.vz, &particles.u,  &particles.mass};
   CHECK(flip.field < MemFaultInjector::kFieldCount);
-  std::vector<float>& field = *fields[flip.field];
+  std::vector<float>& field = particles.*kGuardedColumns[flip.field].member;
   const std::size_t i = static_cast<std::size_t>(flip.index % field.size());
   const float before = field[i];
   std::uint32_t bits;
