@@ -60,6 +60,7 @@ std::vector<std::uint8_t> encode_work_packet(const WorkPacket& packet) {
   append_array(out, packet.y);
   append_array(out, packet.z);
   append_array(out, packet.mass);
+  append_array(out, packet.active);
   append_array(out, packet.task_owner);
   append_array(out, packet.task_entry_begin);
   append_array(out, packet.entry_partner);
@@ -78,6 +79,7 @@ WorkPacket decode_work_packet(const std::vector<std::uint8_t>& bytes) {
   packet.y = read_array<float>(bytes, cursor);
   packet.z = read_array<float>(bytes, cursor);
   packet.mass = read_array<float>(bytes, cursor);
+  packet.active = read_array<std::uint8_t>(bytes, cursor);
   packet.task_owner = read_array<std::uint32_t>(bytes, cursor);
   packet.task_entry_begin = read_array<std::uint32_t>(bytes, cursor);
   packet.entry_partner = read_array<std::uint32_t>(bytes, cursor);
@@ -85,7 +87,8 @@ WorkPacket decode_work_packet(const std::vector<std::uint8_t>& bytes) {
   CHECK_MSG(cursor == bytes.size(), "work packet has trailing bytes");
   CHECK_MSG(packet.x.size() == packet.y.size() &&
                 packet.x.size() == packet.z.size() &&
-                packet.x.size() == packet.mass.size(),
+                packet.x.size() == packet.mass.size() &&
+                packet.x.size() == packet.active.size(),
             "work packet particle arrays disagree");
   return packet;
 }

@@ -49,6 +49,10 @@ struct WorkPacket {
   /// [leaf_begin[l], leaf_begin[l+1]), in the donor's leaf-perm order.
   std::vector<std::uint32_t> leaf_begin;  ///< size = leaves + 1
   std::vector<float> x, y, z, mass;       ///< per shipped particle
+  /// Per shipped particle, 1 if it is active this substep: the helper's
+  /// kernel mask, so a migrated task evaluates the same owner lanes as
+  /// the donor's own launch would (gpu/warp.h, owner-lane culling).
+  std::vector<std::uint8_t> active;
 
   /// Migrated owner tasks (CSR, in the donor's plan order): task t owns
   /// local leaf task_owner[t] and evaluates entries

@@ -235,7 +235,8 @@ comm::WorkPacket extract_work_packet(const Particles& particles,
                                      const tree::ChainingMesh& mesh,
                                      const gpu::LaunchPlan& plan,
                                      const std::vector<std::uint8_t>& skip_task,
-                                     double a_mid, std::uint32_t substep,
+                                     const std::uint8_t* active, double a_mid,
+                                     std::uint32_t substep,
                                      std::uint32_t donor_rank) {
   // Packets name leaves by real index; image ids of a periodic mesh
   // (one-rank worlds, where there is no helper to ship to) are not
@@ -275,6 +276,7 @@ comm::WorkPacket extract_work_packet(const Particles& particles,
       packet.y.push_back(particles.y[i]);
       packet.z.push_back(particles.z[i]);
       packet.mass.push_back(particles.mass[i]);
+      packet.active.push_back(active ? active[i] : 1);
     }
   }
 
@@ -330,7 +332,7 @@ gpu::LaunchStats LoadBalancer::donor_substep(
   {
     HACC_TRACE_SPAN("lb_ship");
     const comm::WorkPacket packet =
-        extract_work_packet(particles, mesh, plan, skip, a_mid,
+        extract_work_packet(particles, mesh, plan, skip, active, a_mid,
                             static_cast<std::uint32_t>(substep),
                             static_cast<std::uint32_t>(comm_.rank()));
     comm::send_work_packet(comm_, d.helper, packet);

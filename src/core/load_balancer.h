@@ -17,9 +17,10 @@
 // The bitwise-determinism contract holds through migration:
 //  * particles stay home — only leaf ghost data and accumulations travel;
 //  * each particle is still written by exactly one owner task, executed
-//    either locally or remotely from identical inputs (positions and
-//    masses in leaf-perm order, zeroed accumulators, the same global
-//    kernel constants) through the identical tile walk;
+//    either locally or remotely from identical inputs (positions, masses
+//    and activity flags in leaf-perm order, zeroed accumulators, the
+//    same global kernel constants) through the identical tile walk, so
+//    a migrated task culls the same inactive owner lanes;
 //  * the donor replaces its zeroed accumulators with the returned
 //    values under the same activity mask the local store would have
 //    applied.
@@ -200,12 +201,14 @@ class LoadBalancer {
 /// Packet extraction (exposed for the round-trip unit tests): the
 /// migrated tasks are those with skip_task[t] set; shipped leaves are
 /// the migrated owners plus every partner their entries read, in
-/// ascending global-leaf order.
+/// ascending global-leaf order. Each shipped particle carries its
+/// `active` flag (nullable = all active).
 comm::WorkPacket extract_work_packet(const Particles& particles,
                                      const tree::ChainingMesh& mesh,
                                      const gpu::LaunchPlan& plan,
                                      const std::vector<std::uint8_t>& skip_task,
-                                     double a_mid, std::uint32_t substep,
+                                     const std::uint8_t* active, double a_mid,
+                                     std::uint32_t substep,
                                      std::uint32_t donor_rank);
 
 /// Reply application (exposed for the unit tests): assign the returned

@@ -42,7 +42,20 @@
 //                   Accum& acc) const;   // accumulate contribution of
 //                                        // `other` onto `self`
 //     void store(std::uint32_t particle, const Accum&);  // += semantics
+//     const std::uint8_t* active() const;  // optional: activity mask
 //   };
+//
+// Owner-lane culling: a kernel that exposes its activity mask through
+// active() (indexed by particle; nullptr = every particle active) has
+// only its active owner lanes evaluated and stored, in both tile engines
+// and in naive mode. An inactive owner lane is never passed to
+// interact() as self and never stored; an owner chunk with no active
+// lane is skipped along with its lane fill and its partners' fills.
+// Inactive particles still load as PARTNERS of active ones. A kernel
+// without active() has every lane evaluated. Active accumulators see
+// the same operands in the same order either way, so culling changes no
+// stored bit. LaunchStats counts what ran: interactions are the active
+// owner lanes times their partners.
 //
 // One launch path: launch_pair_kernel walks the OWNER tasks of a
 // LaunchPlan (gpu/launch.h) — in a plain loop without a pool or on a
@@ -79,7 +92,9 @@
 // it — positions/masses in, accelerations/densities out), and store()
 // runs CONCURRENTLY on worker threads for DISTINCT particles, so
 // store(i, ...) may only touch per-particle state of i (true of every
-// kernel in the tree: they += into per-particle output arrays).
+// kernel in the tree: they += into per-particle output arrays). store()
+// is called only for particles active under active(), so it need not
+// test the mask itself.
 #pragma once
 
 #include <algorithm>
@@ -103,15 +118,17 @@ namespace crkhacc::gpu {
 namespace detail {
 
 /// Naive side pass: accumulate contributions of leaf B (at image shift
-/// `shift_b`, nullable) onto every particle of leaf A, reloading and
-/// recomputing per pair.
+/// `shift_b`, nullable) onto every active particle of leaf A, reloading
+/// and recomputing per pair.
 template <typename Kernel>
 void naive_side(Kernel& kernel, const tree::ChainingMesh& cm,
                 const tree::Leaf& a, const tree::Leaf& b, const float* shift_b,
                 bool same_leaf, LaunchStats& stats) {
   const std::uint32_t* perm = cm.permutation().data();
+  const std::uint8_t* mask = owner_mask(kernel);
   for (std::uint32_t s = a.begin; s < a.end; ++s) {
     const std::uint32_t i = perm[s];
+    if (mask && !mask[i]) continue;
     const auto si = kernel.load(i);
     ++stats.global_loads;
     typename Kernel::Accum acc{};
@@ -147,11 +164,19 @@ struct LaneFile {
   std::array<typename Kernel::State, kMaxHalfWarp> s;
   std::array<typename Kernel::Partial, kMaxHalfWarp> p;
   const std::uint32_t* idx = nullptr;
+  const std::uint8_t* mask = nullptr;  ///< owner mask; nullptr = all active
   std::uint32_t n = 0;
 
+  /// Whether lane l accumulates and stores when this chunk is an owner.
+  bool active(std::uint32_t l) const { return !mask || mask[idx[l]]; }
+
+  /// `owner_mask` (nullable) as in SimdLaneBuffer::fill: owner fills pass
+  /// the kernel's mask, partner fills nullptr.
   void fill(const Kernel& kernel, const std::uint32_t* indices,
-            std::uint32_t count, const float* shift, LaunchStats& stats) {
+            std::uint32_t count, const float* shift,
+            const std::uint8_t* owner_mask, LaunchStats& stats) {
     idx = indices;
+    mask = owner_mask;
     n = count;
     for (std::uint32_t l = 0; l < count; ++l) {
       s[l] = kernel.load(indices[l]);
@@ -173,7 +198,9 @@ struct LaneFile {
 /// acc_j[m] sees i-lanes l = m, m-1, ..., 0, W-1, ..., m+1 (backward
 /// wrap). The one-sided specializations below walk exactly those
 /// sequences directly — same operands, same order, no dead rotation
-/// scaffolding for the idle half.
+/// scaffolding for the idle half. Only active owner lanes (LaneFile::
+/// active) accumulate and store; skipping the others changes no operand
+/// of an active accumulator.
 template <TileSide Side, typename Kernel>
 void warp_tile(Kernel& kernel, const LaneFile<Kernel>& fi,
                const LaneFile<Kernel>& fj, std::uint32_t w, bool same_chunk,
@@ -190,24 +217,32 @@ void warp_tile(Kernel& kernel, const LaneFile<Kernel>& fi,
         if (l >= fi.n || m >= fj.n) continue;  // idle lanes on ragged chunks
         if (same_chunk && l == m) continue;    // self-interaction diagonal
         // The "shuffle": the partner's state/partial is read by lane index.
-        kernel.interact(fi.s[l], fi.p[l], fj.s[m], fj.p[m], acc_i[l]);
-        ++stats.interactions;
-        if (do_j) {
+        if (fi.active(l)) {
+          kernel.interact(fi.s[l], fi.p[l], fj.s[m], fj.p[m], acc_i[l]);
+          ++stats.interactions;
+        }
+        if (do_j && fj.active(m)) {
           kernel.interact(fj.s[m], fj.p[m], fi.s[l], fi.p[l], acc_j[m]);
           ++stats.interactions;
         }
       }
     }
-    for (std::uint32_t l = 0; l < fi.n; ++l) kernel.store(fi.idx[l], acc_i[l]);
-    stats.stores += fi.n;
+    for (std::uint32_t l = 0; l < fi.n; ++l) {
+      if (!fi.active(l)) continue;
+      kernel.store(fi.idx[l], acc_i[l]);
+      ++stats.stores;
+    }
     if (do_j) {
-      for (std::uint32_t m = 0; m < fj.n; ++m)
+      for (std::uint32_t m = 0; m < fj.n; ++m) {
+        if (!fj.active(m)) continue;
         kernel.store(fj.idx[m], acc_j[m]);
-      stats.stores += fj.n;
+        ++stats.stores;
+      }
     }
   } else if constexpr (Side == TileSide::kI) {
     // Forward-wrap partner scan per live accumulator (see above).
     for (std::uint32_t l = 0; l < fi.n; ++l) {
+      if (!fi.active(l)) continue;
       Accum acc{};
       for (std::uint32_t m = l; m < fj.n; ++m) {
         kernel.interact(fi.s[l], fi.p[l], fj.s[m], fj.p[m], acc);
@@ -218,11 +253,12 @@ void warp_tile(Kernel& kernel, const LaneFile<Kernel>& fi,
       }
       kernel.store(fi.idx[l], acc);
       stats.interactions += fj.n;
+      ++stats.stores;
     }
-    stats.stores += fi.n;
   } else {
     // Backward-wrap i-lane scan per live j-side accumulator (see above).
     for (std::uint32_t m = 0; m < fj.n; ++m) {
+      if (!fj.active(m)) continue;
       Accum acc{};
       for (std::uint32_t l = std::min(m + 1, fi.n); l-- > 0;) {
         kernel.interact(fj.s[m], fj.p[m], fi.s[l], fi.p[l], acc);
@@ -232,15 +268,16 @@ void warp_tile(Kernel& kernel, const LaneFile<Kernel>& fi,
       }
       kernel.store(fj.idx[m], acc);
       stats.interactions += fi.n;
+      ++stats.stores;
     }
-    stats.stores += fj.n;
   }
 }
 
 /// Both-sides warp-split evaluation of self pair (leaf, leaf): every
 /// chunk against itself and every later chunk of the leaf. The i-side
-/// lane file is filled once per row and reused for every partner chunk
-/// of that row.
+/// lane file is filled once per row, on the row's first evaluated tile,
+/// and reused for every partner chunk of that row. Both chunks of a tile
+/// are owners, so a tile runs when either has an active lane.
 template <typename Kernel>
 void warp_split_pair(Kernel& kernel, const tree::ChainingMesh& cm,
                      std::uint32_t leaf, std::uint32_t warp_size,
@@ -248,12 +285,21 @@ void warp_split_pair(Kernel& kernel, const tree::ChainingMesh& cm,
   const tree::Leaf& a = cm.leaf(leaf);
   const std::uint32_t* perm = cm.permutation().data();
   const std::uint32_t w = std::min(warp_size / 2, kMaxHalfWarp);
+  const std::uint8_t* mask = owner_mask(kernel);
 
   LaneFile<Kernel> fi, fj;
   for (std::uint32_t ci = a.begin; ci < a.end; ci += w) {
-    fi.fill(kernel, perm + ci, std::min(w, a.end - ci), nullptr, stats);
+    const std::uint32_t ni = std::min(w, a.end - ci);
+    const bool ai = any_active(mask, perm + ci, ni);
+    bool filled = false;
     for (std::uint32_t cj = ci; cj < a.end; cj += w) {
-      fj.fill(kernel, perm + cj, std::min(w, a.end - cj), nullptr, stats);
+      const std::uint32_t nj = std::min(w, a.end - cj);
+      if (!ai && !any_active(mask, perm + cj, nj)) continue;
+      if (!filled) {
+        fi.fill(kernel, perm + ci, ni, nullptr, mask, stats);
+        filled = true;
+      }
+      fj.fill(kernel, perm + cj, nj, nullptr, mask, stats);
       warp_tile<TileSide::kBoth>(kernel, fi, fj, w, ci == cj, stats);
     }
   }
@@ -264,9 +310,10 @@ void warp_split_pair(Kernel& kernel, const tree::ChainingMesh& cm,
 /// its lane file hoisted; for kJ that transposes the both-sides (ci, cj)
 /// visit order, which is safe because the reordered tiles store to
 /// DIFFERENT owner chunks (disjoint particles) while each owner chunk
-/// still sees its partner tiles in ascending ci order. `partner_shift`
-/// (nullable) is the image shift of the non-owner leaf: leaf_b for kI,
-/// leaf_a for kJ.
+/// still sees its partner tiles in ascending ci order. An owner chunk
+/// with no active lane is skipped with its partner fills.
+/// `partner_shift` (nullable) is the image shift of the non-owner leaf:
+/// leaf_b for kI, leaf_a for kJ.
 template <typename Kernel>
 void warp_split_pair_sided(Kernel& kernel, const tree::ChainingMesh& cm,
                            std::uint32_t leaf_a, std::uint32_t leaf_b,
@@ -276,24 +323,29 @@ void warp_split_pair_sided(Kernel& kernel, const tree::ChainingMesh& cm,
   const tree::Leaf& b = cm.leaf(leaf_b);
   const std::uint32_t* perm = cm.permutation().data();
   const std::uint32_t w = std::min(warp_size / 2, kMaxHalfWarp);
+  const std::uint8_t* mask = owner_mask(kernel);
 
   LaneFile<Kernel> fi, fj;
   if (side == TileSide::kI) {
     for (std::uint32_t ci = a.begin; ci < a.end; ci += w) {
-      fi.fill(kernel, perm + ci, std::min(w, a.end - ci), nullptr, stats);
+      const std::uint32_t ni = std::min(w, a.end - ci);
+      if (!any_active(mask, perm + ci, ni)) continue;
+      fi.fill(kernel, perm + ci, ni, nullptr, mask, stats);
       for (std::uint32_t cj = b.begin; cj < b.end; cj += w) {
         fj.fill(kernel, perm + cj, std::min(w, b.end - cj), partner_shift,
-                stats);
+                nullptr, stats);
         warp_tile<TileSide::kI>(kernel, fi, fj, w, /*same_chunk=*/false,
                                 stats);
       }
     }
   } else {
     for (std::uint32_t cj = b.begin; cj < b.end; cj += w) {
-      fj.fill(kernel, perm + cj, std::min(w, b.end - cj), nullptr, stats);
+      const std::uint32_t nj = std::min(w, b.end - cj);
+      if (!any_active(mask, perm + cj, nj)) continue;
+      fj.fill(kernel, perm + cj, nj, nullptr, mask, stats);
       for (std::uint32_t ci = a.begin; ci < a.end; ci += w) {
         fi.fill(kernel, perm + ci, std::min(w, a.end - ci), partner_shift,
-                stats);
+                nullptr, stats);
         warp_tile<TileSide::kJ>(kernel, fi, fj, w, /*same_chunk=*/false,
                                 stats);
       }
@@ -444,6 +496,14 @@ class ScalarTiles {
   static constexpr double kFlopsPerPartial = Kernel::kFlopsPerPartial;
 
   explicit ScalarTiles(Kernel& kernel) : kernel_(kernel) {}
+
+  /// The wrapped kernel's activity mask, where it has one, so scalar
+  /// tiles cull the same owner lanes as the vector engine.
+  const std::uint8_t* active() const
+    requires requires(const Kernel& k) { k.active(); }
+  {
+    return kernel_.active();
+  }
 
   State load(std::uint32_t i) const { return kernel_.load(i); }
   Partial partial(const State& s) const { return kernel_.partial(s); }

@@ -32,6 +32,13 @@
 //    scalar LaneFile does (shift_state, below), so both engines see the
 //    same operand bits.
 //
+//  * Owner-lane culling: an owner buffer also records which of its lanes
+//    are active under the kernel's mask (owner_mask, below). Inactive
+//    lanes are masked out of `live`, an 8-lane owner block with no
+//    active lane is skipped, and only active lanes are stored. The
+//    active lanes' accumulators see unchanged operands in unchanged
+//    order, so culling keeps their bits.
+//
 // Kernels opt in by defining SimdLanes / SimdAccum / interact_simd (see
 // the SimdPairKernel concept) and run here whenever
 // LaunchConfig::vector_tiles() holds; others always run scalar tiles.
@@ -65,6 +72,31 @@ inline void shift_state(State& s, const float* shift) {
   s.z += shift[2];
 }
 
+/// The kernel's activity mask over particle indices, or nullptr when the
+/// kernel has none: the drivers evaluate and store only owner lanes
+/// whose particle is active under it, so the kernel's own mask is the
+/// one source of truth for which lanes run.
+template <typename Kernel>
+const std::uint8_t* owner_mask(const Kernel& kernel) {
+  if constexpr (requires { { kernel.active() } -> std::same_as<const std::uint8_t*>; }) {
+    return kernel.active();
+  } else {
+    return nullptr;
+  }
+}
+
+/// Whether any of the `count` particles at `indices` is active under
+/// `mask` (nullable: every lane is active). Chunks for which this is
+/// false are owner chunks with nothing to evaluate.
+inline bool any_active(const std::uint8_t* mask, const std::uint32_t* indices,
+                       std::uint32_t count) {
+  if (mask == nullptr) return count > 0;
+  for (std::uint32_t l = 0; l < count; ++l) {
+    if (mask[indices[l]]) return true;
+  }
+  return false;
+}
+
 /// Which accumulator half of a tile is live. kBoth is the symmetric
 /// evaluation of a self pair's tiles; kI / kJ are the one-sided halves
 /// the owner tasks split a cross pair into. (Defined here, below
@@ -83,8 +115,10 @@ concept SimdPairKernel = requires(const Kernel k, typename Kernel::SimdLanes& la
 };
 
 /// Padded SoA lane buffer of one half-warp chunk: the kernel's lane
-/// fields plus the driver-owned liveness mask (slot k is live when
-/// (k mod w) < n, stored as all-ones float bits for direct mask loads).
+/// fields plus two driver-owned masks, stored as all-ones float bits for
+/// direct mask loads. `live` (slot k is live when (k mod w) < n) gates
+/// the chunk's lanes as partners; `act` (slot k < n whose particle is
+/// active under the owner mask, no replicas) gates them as owners.
 /// Replica slots (k >= w) and dead slots hold value-initialized State/
 /// Partial, so vector arithmetic on them is ordinary IEEE math on zeros
 /// (possibly producing inf/NaN) that the mask blends away — never
@@ -93,12 +127,15 @@ template <typename Kernel>
 struct SimdLaneBuffer {
   typename Kernel::SimdLanes lanes;
   simd::LaneArray live;
+  simd::LaneArray act;  ///< slots >= w stay zero (value-initialized)
   const std::uint32_t* idx = nullptr;
   std::uint32_t n = 0;
 
+  /// `owner_mask` (nullable = all active) fills `act`; partner fills,
+  /// whose `act` no tile reads, pass nullptr.
   void fill(const Kernel& kernel, const std::uint32_t* indices,
             std::uint32_t count, std::uint32_t w, const float* shift,
-            LaunchStats& stats) {
+            const std::uint8_t* owner_mask, LaunchStats& stats) {
     idx = indices;
     n = count;
     const float on = simd::mask_on();
@@ -112,6 +149,7 @@ struct SimdLaneBuffer {
         const auto p = kernel.partial(s);
         lanes.set(u, s, p);
         live[u] = on;
+        act[u] = !owner_mask || owner_mask[indices[u]] ? on : 0.0f;
         for (std::uint32_t k = u + w; k < w + simd::kWidth; k += w) {
           lanes.set(k, s, p);
           live[k] = on;
@@ -119,6 +157,7 @@ struct SimdLaneBuffer {
       } else {
         lanes.set(u, typename Kernel::State{}, typename Kernel::Partial{});
         live[u] = 0.0f;
+        act[u] = 0.0f;
         for (std::uint32_t k = u + w; k < w + simd::kWidth; k += w) {
           lanes.set(k, typename Kernel::State{}, typename Kernel::Partial{});
           live[k] = 0.0f;
@@ -133,20 +172,21 @@ struct SimdLaneBuffer {
   }
 };
 
-/// Accumulate every rotation step onto `self`'s lanes, kWidth lanes per
-/// instruction, and store once per lane — one side of a warp tile.
-/// forward = partner (l + t) mod w per step t (the i-side / kI order);
-/// backward = partner (l - t) mod w (the j-side / kJ order). Starting at
-/// t = 1 skips the same-chunk diagonal (l == m happens only at t = 0).
+/// Accumulate every rotation step onto `self`'s active lanes, kWidth
+/// lanes per instruction, and store once per active lane — one side of a
+/// warp tile. forward = partner (l + t) mod w per step t (the i-side /
+/// kI order); backward = partner (l - t) mod w (the j-side / kJ order).
+/// Starting at t = 1 skips the same-chunk diagonal (l == m happens only
+/// at t = 0). A block with no active lane is skipped whole.
 template <typename Math, typename Kernel>
 void simd_accum_rows(Kernel& kernel, const SimdLaneBuffer<Kernel>& self,
                      const SimdLaneBuffer<Kernel>& other, std::uint32_t w,
                      bool backward, bool skip_diagonal, LaunchStats& stats) {
   for (std::uint32_t lb = 0; lb < self.n; lb += simd::kWidth) {
+    const simd::vmask self_live = simd::loadu_mask(self.act.data() + lb);
+    const std::uint32_t self_bits = simd::mask_bits(self_live);
+    if (self_bits == 0) continue;
     typename Kernel::SimdAccum acc{};
-    const simd::vmask self_live =
-        simd::cmp_lt(simd::iota() + simd::broadcast(static_cast<float>(lb)),
-                     simd::broadcast(static_cast<float>(self.n)));
     for (std::uint32_t t = skip_diagonal ? 1u : 0u; t < w; ++t) {
       const std::uint32_t ob = backward ? (lb + w - t) % w : (lb + t) % w;
       const simd::vmask live =
@@ -157,9 +197,9 @@ void simd_accum_rows(Kernel& kernel, const SimdLaneBuffer<Kernel>& self,
     }
     const std::uint32_t hi = std::min(lb + simd::kWidth, self.n);
     for (std::uint32_t l = lb; l < hi; ++l) {
-      kernel.store(self.idx[l], acc.lane(l - lb));
+      if ((self_bits >> (l - lb)) & 1u) kernel.store(self.idx[l], acc.lane(l - lb));
     }
-    stats.stores += hi - lb;
+    stats.stores += static_cast<std::uint64_t>(std::popcount(self_bits));
   }
 }
 
@@ -179,7 +219,7 @@ void simd_warp_tile_both(Kernel& kernel, const SimdLaneBuffer<Kernel>& bi,
 }
 
 /// Both-sides vector evaluation of self pair (leaf, leaf), chunk-loop
-/// structure identical to warp_split_pair.
+/// structure and chunk skipping identical to warp_split_pair.
 template <typename Math, typename Kernel>
 void simd_warp_split_pair(Kernel& kernel, const tree::ChainingMesh& cm,
                           std::uint32_t leaf, std::uint32_t warp_size,
@@ -187,12 +227,21 @@ void simd_warp_split_pair(Kernel& kernel, const tree::ChainingMesh& cm,
   const tree::Leaf& a = cm.leaf(leaf);
   const std::uint32_t* perm = cm.permutation().data();
   const std::uint32_t w = std::min(warp_size / 2, kMaxHalfWarp);
+  const std::uint8_t* mask = owner_mask(kernel);
 
   SimdLaneBuffer<Kernel> bi, bj;
   for (std::uint32_t ci = a.begin; ci < a.end; ci += w) {
-    bi.fill(kernel, perm + ci, std::min(w, a.end - ci), w, nullptr, stats);
+    const std::uint32_t ni = std::min(w, a.end - ci);
+    const bool ai = any_active(mask, perm + ci, ni);
+    bool filled = false;
     for (std::uint32_t cj = ci; cj < a.end; cj += w) {
-      bj.fill(kernel, perm + cj, std::min(w, a.end - cj), w, nullptr, stats);
+      const std::uint32_t nj = std::min(w, a.end - cj);
+      if (!ai && !any_active(mask, perm + cj, nj)) continue;
+      if (!filled) {
+        bi.fill(kernel, perm + ci, ni, w, nullptr, mask, stats);
+        filled = true;
+      }
+      bj.fill(kernel, perm + cj, nj, w, nullptr, mask, stats);
       simd_warp_tile_both<Math>(kernel, bi, bj, w, ci == cj, stats);
     }
   }
@@ -212,24 +261,29 @@ void simd_warp_split_pair_sided(Kernel& kernel, const tree::ChainingMesh& cm,
   const tree::Leaf& b = cm.leaf(leaf_b);
   const std::uint32_t* perm = cm.permutation().data();
   const std::uint32_t w = std::min(warp_size / 2, kMaxHalfWarp);
+  const std::uint8_t* mask = owner_mask(kernel);
 
   SimdLaneBuffer<Kernel> bi, bj;
   if (side == TileSide::kI) {
     for (std::uint32_t ci = a.begin; ci < a.end; ci += w) {
-      bi.fill(kernel, perm + ci, std::min(w, a.end - ci), w, nullptr, stats);
+      const std::uint32_t ni = std::min(w, a.end - ci);
+      if (!any_active(mask, perm + ci, ni)) continue;
+      bi.fill(kernel, perm + ci, ni, w, nullptr, mask, stats);
       for (std::uint32_t cj = b.begin; cj < b.end; cj += w) {
         bj.fill(kernel, perm + cj, std::min(w, b.end - cj), w, partner_shift,
-                stats);
+                nullptr, stats);
         simd_accum_rows<Math>(kernel, bi, bj, w, /*backward=*/false,
                               /*skip_diagonal=*/false, stats);
       }
     }
   } else {
     for (std::uint32_t cj = b.begin; cj < b.end; cj += w) {
-      bj.fill(kernel, perm + cj, std::min(w, b.end - cj), w, nullptr, stats);
+      const std::uint32_t nj = std::min(w, b.end - cj);
+      if (!any_active(mask, perm + cj, nj)) continue;
+      bj.fill(kernel, perm + cj, nj, w, nullptr, mask, stats);
       for (std::uint32_t ci = a.begin; ci < a.end; ci += w) {
         bi.fill(kernel, perm + ci, std::min(w, a.end - ci), w, partner_shift,
-                stats);
+                nullptr, stats);
         simd_accum_rows<Math>(kernel, bj, bi, w, /*backward=*/true,
                               /*skip_diagonal=*/false, stats);
       }

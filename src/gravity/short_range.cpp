@@ -74,10 +74,11 @@ comm::WorkReply execute_work_packet(const comm::WorkPacket& packet,
   const gpu::LaunchPlan plan = gpu::LaunchPlan::from_owner_tasks(
       packet.task_owner, packet.task_entry_begin, std::move(entries));
 
-  // Every slot is stored (active = nullptr): the donor applies its own
-  // activity mask when it copies the reply back.
+  // The packet's activity flags are the kernel mask, so the helper
+  // evaluates the owner lanes the donor would have; inactive slots reply
+  // their zeroed accumulators, which the donor does not apply.
   compute_short_range(scratch, mesh, plan, split, config, packet.a_mid,
-                      nullptr, flops, nullptr, pool);
+                      packet.active.data(), flops, nullptr, pool);
 
   comm::WorkReply reply;
   reply.substep = packet.substep;

@@ -70,6 +70,10 @@ class ShortRangeKernel {
               "kernel cutoff exceeds the force split's cutoff");
   }
 
+  /// The launch evaluates and stores only particles active under this
+  /// mask (nullable = all; gpu/warp.h, owner-lane culling).
+  const std::uint8_t* active() const { return active_; }
+
   State load(std::uint32_t i) const {
     return State{p_.x[i], p_.y[i], p_.z[i], p_.mass[i]};
   }
@@ -94,7 +98,6 @@ class ShortRangeKernel {
   }
 
   void store(std::uint32_t i, const Accum& acc) {
-    if (active_ && !active_[i]) return;
     p_.ax[i] += scale_ * acc.ax;
     p_.ay[i] += scale_ * acc.ay;
     p_.az[i] += scale_ * acc.az;
@@ -218,10 +221,11 @@ gpu::LaunchStats compute_short_range(
 /// leaf ranges (tree::ChainingMesh::adopt) and owner tasks
 /// (gpu::LaunchPlan::from_owner_tasks) on scratch particle state, run
 /// the identical kernel (split/softening/launch policy are global
-/// config, a comes with the packet), and return the owner-slot
-/// accelerations. Scratch accumulators start at 0.0f — the same value
-/// the donor's zeroed accumulators hold — so the returned values equal
-/// the ones the donor's own launch would have produced, bit for bit.
+/// config, a comes with the packet, the packet's activity flags are its
+/// mask), and return the owner-slot accelerations. Scratch accumulators
+/// start at 0.0f — the same value the donor's zeroed accumulators hold —
+/// so the returned values of active slots equal the ones the donor's own
+/// launch would have produced, bit for bit.
 comm::WorkReply execute_work_packet(const comm::WorkPacket& packet,
                                     const mesh::ForceSplit* split,
                                     const GravityConfig& config,

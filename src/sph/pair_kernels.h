@@ -69,9 +69,13 @@ class DensityKernelT {
     float nnbr = 0.0f;
   };
 
+  /// `active` (nullable = all) selects the particles the launch
+  /// evaluates and stores (gpu/warp.h, owner-lane culling).
   DensityKernelT(Particles& particles, SphScratch& scratch,
                  const std::uint8_t* active)
       : p_(particles), scratch_(scratch), active_(active) {}
+
+  const std::uint8_t* active() const { return active_; }
 
   State load(std::uint32_t i) const {
     return State{p_.x[i], p_.y[i], p_.z[i], p_.hsml[i], p_.mass[i]};
@@ -94,9 +98,9 @@ class DensityKernelT {
   }
 
   // += semantics: the driver stores once per leaf pair / warp tile (the
-  // "per-leaf atomic"). The solver zeroes rho and adds the self term.
+  // "per-leaf atomic"), active particles only. The solver zeroes rho and
+  // adds the self term.
   void store(std::uint32_t i, const Accum& acc) {
-    if (active_ && !active_[i]) return;
     p_.rho[i] += acc.rho;
     scratch_.nnbr[i] += acc.nnbr;
   }
@@ -186,6 +190,8 @@ class CrkMomentKernelT {
                    const std::uint8_t* active)
       : p_(particles), scratch_(scratch), active_(active) {}
 
+  const std::uint8_t* active() const { return active_; }
+
   State load(std::uint32_t i) const {
     return State{p_.x[i], p_.y[i], p_.z[i], p_.hsml[i], scratch_.volume[i]};
   }
@@ -218,7 +224,6 @@ class CrkMomentKernelT {
 
   // += semantics (see DensityKernel::store); self term added by solver.
   void store(std::uint32_t i, const Accum& acc) {
-    if (active_ && !active_[i]) return;
     CrkMoments& m = scratch_.moments[i];
     m.m0 += acc.m.m0;
     for (int d = 0; d < 3; ++d) m.m1[d] += acc.m.m1[d];
@@ -357,6 +362,8 @@ class MomentumEnergyKernelT {
         visc_(visc),
         scale_(accel_scale) {}
 
+  const std::uint8_t* active() const { return active_; }
+
   State load(std::uint32_t i) const {
     const auto& b = scratch_.crk_b[i];
     return State{p_.x[i],  p_.y[i],  p_.z[i],  p_.vx[i], p_.vy[i],
@@ -430,7 +437,6 @@ class MomentumEnergyKernelT {
   }
 
   void store(std::uint32_t i, const Accum& acc) {
-    if (active_ && !active_[i]) return;
     p_.ax[i] += scale_ * acc.ax;
     p_.ay[i] += scale_ * acc.ay;
     p_.az[i] += scale_ * acc.az;

@@ -215,6 +215,7 @@ TEST(WorkPackets, PacketSurvivesEncodeDecodeRoundTrip) {
   packet.y = {0.5f, 1.5f, 2.5f, 3.5f, 4.5f};
   packet.z = {9.0f, 8.0f, 7.0f, 6.0f, 5.0f};
   packet.mass = {1.0f, 1.0f, 2.0f, 2.0f, 3.0f};
+  packet.active = {1, 0, 1, 1, 0};
   packet.task_owner = {0, 1};
   packet.task_entry_begin = {0, 2, 3};
   packet.entry_partner = {1, 0, 0};
@@ -229,6 +230,7 @@ TEST(WorkPackets, PacketSurvivesEncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded.y, packet.y);
   EXPECT_EQ(decoded.z, packet.z);
   EXPECT_EQ(decoded.mass, packet.mass);
+  EXPECT_EQ(decoded.active, packet.active);
   EXPECT_EQ(decoded.task_owner, packet.task_owner);
   EXPECT_EQ(decoded.task_entry_begin, packet.task_entry_begin);
   EXPECT_EQ(decoded.entry_partner, packet.entry_partner);
@@ -308,8 +310,9 @@ TEST_P(MigrationBitwiseTest, RoundTripMatchesUnbalancedLaunchBitwise) {
   gpu::FlopRegistry flops;
   gravity::compute_short_range(local, mesh, plan, nullptr, config, 0.5,
                                active.data(), flops, skip.data(), pool_ptr);
-  const comm::WorkPacket packet = extract_work_packet(
-      local, mesh, plan, skip, 0.5, /*substep=*/7, /*donor_rank=*/3);
+  const comm::WorkPacket packet =
+      extract_work_packet(local, mesh, plan, skip, active.data(), 0.5,
+                          /*substep=*/7, /*donor_rank=*/3);
   EXPECT_EQ(packet.num_tasks(), migrated);
   const comm::WorkReply reply =
       gravity::execute_work_packet(packet, nullptr, config, flops, pool_ptr);
