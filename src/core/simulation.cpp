@@ -329,6 +329,14 @@ StepReport Simulation::step_body(SdcStepStats* stats) {
     depth = assign_timestep_bins(dt_pm);
   }
   report.depth = depth;
+  // Deepest bins first in every leaf: each substep's active particles
+  // then lead their leaves, and the pair launches skip the inactive
+  // rest chunk by chunk.
+  {
+    ScopedTimer t(timers_, timers::kTreeBuild);
+    mesh_all.order_members_by_bin(particles_, &pool_);
+    if (config_.hydro) mesh_gas.order_members_by_bin(particles_, &pool_);
+  }
 
   // --- 5. sub-cycled short-range solve ------------------------------------
   const std::uint64_t nfine = 1ull << depth;
@@ -366,6 +374,8 @@ StepReport Simulation::step_body(SdcStepStats* stats) {
         HACC_TRACE_SPAN("tree_build");
         mesh_all.build(particles_, &pool_);
         if (config_.hydro) mesh_gas.build(particles_, gas_indices(), &pool_);
+        mesh_all.order_members_by_bin(particles_, &pool_);
+        if (config_.hydro) mesh_gas.order_members_by_bin(particles_, &pool_);
       } else {
         HACC_TRACE_SPAN("tree_refit");
         mesh_all.refit_bounds(particles_, &pool_);

@@ -278,6 +278,27 @@ void ChainingMesh::refit_bounds(const Particles& particles,
   }
 }
 
+void ChainingMesh::order_members_by_bin(const Particles& particles,
+                                       util::ThreadPool* pool) {
+  HACC_TRACE_SPAN("cm_bin_order");
+  const auto order_leaf = [&](const Leaf& leaf) {
+    std::stable_sort(perm_.begin() + leaf.begin, perm_.begin() + leaf.end,
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return particles.bin[a] > particles.bin[b];
+                     });
+  };
+  if (pool && pool->num_threads() > 1) {
+    pool->parallel_for(0, leaves_.size(), 16,
+                       [&](std::size_t lo, std::size_t hi, std::size_t) {
+                         for (std::size_t l = lo; l < hi; ++l) {
+                           order_leaf(leaves_[l]);
+                         }
+                       });
+  } else {
+    for (const Leaf& leaf : leaves_) order_leaf(leaf);
+  }
+}
+
 double ChainingMesh::aabb_distance_sq(const Leaf& a, const Leaf& b) {
   double d2 = 0.0;
   for (int d = 0; d < 3; ++d) {

@@ -98,6 +98,17 @@ class ChainingMesh {
   void refit_bounds(const Particles& particles,
                     util::ThreadPool* pool = nullptr);
 
+  /// Stably reorder each leaf's members by descending timestep bin
+  /// (particles.bin), keeping build order among equal bins. A bin active
+  /// at a substep implies every deeper bin is active
+  /// (integrator::bin_active), so each substep's active members form a
+  /// prefix of every leaf, and the launch's owner-lane culling
+  /// (gpu/warp.h) skips whole chunks. Member sets, AABBs and leaf ranges
+  /// are unchanged. Called after each timestep-bin assignment and after
+  /// every rebuild within a step.
+  void order_members_by_bin(const Particles& particles,
+                            util::ThreadPool* pool = nullptr);
+
   std::size_t num_leaves() const { return leaves_.size(); }
   const Leaf& leaf(std::size_t l) const { return leaves_[l]; }
 
