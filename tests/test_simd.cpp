@@ -19,7 +19,11 @@
 //   3. the four production kernels (density, CRK moments, momentum-
 //      energy, short-range gravity with and without a ForceSplit) run
 //      as built and through ScalarTiles, serially and @8 threads, and
-//      compared byte-for-byte, with LaunchStats parity; the split
+//      compared byte-for-byte, with LaunchStats parity, under four
+//      activity masks (none, all inactive, random with holes, a
+//      bin-ordered active prefix): active outputs bitwise equal to the
+//      unmasked launch, inactive outputs untouched, interactions equal
+//      to the active owner lanes times their partners; the split
 //      polynomial's lane evaluation against its scalar one;
 //   4. the ULP gate for kFused;
 //   5. the engine-selection truth table, the device surface, and
@@ -44,6 +48,7 @@
 #include "gpu/simd.h"
 #include "gpu/warp.h"
 #include "gravity/short_range.h"
+#include "integrator/timestep.h"
 #include "mesh/force_split.h"
 #include "sph/pair_kernels.h"
 #include "tree/chaining_mesh.h"
@@ -229,7 +234,8 @@ TEST(SimdPrimitives, MathPoliciesMatchScalarContracts) {
 /// acc = acc * k + tag_j, so the accumulated value encodes the exact
 /// partner ORDER (and the store folds non-commutatively too, pinning the
 /// per-particle store sequence). Any deviation in rotation order,
-/// diagonal skip, or one-sided walk order changes the bits.
+/// diagonal skip, or one-sided walk order changes the bits, and so does
+/// any store to a particle inactive under the optional mask.
 class RotationOrderKernel {
  public:
   static constexpr const char* kName = "test_rotation_order";
@@ -248,8 +254,11 @@ class RotationOrderKernel {
     float s = 0.0f;
   };
 
-  RotationOrderKernel(const std::vector<float>& tags, std::vector<float>& out)
-      : tags_(tags), out_(out) {}
+  RotationOrderKernel(const std::vector<float>& tags, std::vector<float>& out,
+                      const std::uint8_t* active = nullptr)
+      : tags_(tags), out_(out), active_(active) {}
+
+  const std::uint8_t* active() const { return active_; }
 
   State load(std::uint32_t i) const { return State{0.0f, 0.0f, 0.0f, tags_[i]}; }
   Partial partial(const State& s) const { return Partial{s.tag}; }
@@ -285,6 +294,7 @@ class RotationOrderKernel {
  private:
   const std::vector<float>& tags_;
   std::vector<float>& out_;
+  const std::uint8_t* active_;
 };
 
 Particles random_particles(std::size_t n, double box, std::uint64_t seed) {
@@ -323,13 +333,14 @@ std::vector<float> run_rotation_order(const Particles& p,
                                       const PairList& pairs, Tiles tiles,
                                       const LaunchConfig& config,
                                       util::ThreadPool* pool = nullptr,
-                                      LaunchStats* stats_out = nullptr) {
+                                      LaunchStats* stats_out = nullptr,
+                                      const std::uint8_t* mask = nullptr) {
   std::vector<float> tags(p.size());
   for (std::size_t i = 0; i < p.size(); ++i) {
     tags[i] = 1.0f + 0.001f * static_cast<float>(i);
   }
   std::vector<float> out(p.size(), 1.0f);
-  RotationOrderKernel kernel(tags, out);
+  RotationOrderKernel kernel(tags, out, mask);
   const auto stats = launch_on(tiles, kernel, mesh, LaunchPlan(mesh, pairs),
                                config, pool);
   if (stats_out) *stats_out = stats;
@@ -360,6 +371,32 @@ TEST_P(RotationOrderTest, SimdPreservesScalarOperandOrder) {
     expect_bitwise_eq(scalar, built_pool, "as built @8 threads vs scalar");
     expect_counter_parity(scalar_stats, built_stats,
                           "as built serial stats vs scalar");
+
+    // Culled: every active particle keeps its partner order and store
+    // sequence bit for bit, and every inactive one its starting 1.0f.
+    std::vector<std::uint8_t> mask(p.size());
+    for (std::size_t i = 0; i < p.size(); ++i) mask[i] = (i * 7 + 3) % 5 < 3;
+    std::vector<float> want = scalar;
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      if (!mask[i]) want[i] = 1.0f;
+    }
+    LaunchStats masked_scalar_stats, masked_built_stats;
+    expect_bitwise_eq(want,
+                      run_rotation_order(p, mesh, pairs, Tiles::kScalar,
+                                         config, nullptr, &masked_scalar_stats,
+                                         mask.data()),
+                      "masked scalar vs unmasked");
+    expect_bitwise_eq(want,
+                      run_rotation_order(p, mesh, pairs, Tiles::kAsBuilt,
+                                         config, nullptr, &masked_built_stats,
+                                         mask.data()),
+                      "masked as built vs unmasked");
+    expect_bitwise_eq(want,
+                      run_rotation_order(p, mesh, pairs, Tiles::kAsBuilt,
+                                         config, &pool, nullptr, mask.data()),
+                      "masked as built @8 threads vs unmasked");
+    expect_counter_parity(masked_scalar_stats, masked_built_stats,
+                          "masked as built serial stats vs scalar");
   }
 }
 
@@ -424,16 +461,115 @@ struct GasFixture {
 };
 
 /// One snapshot of a kernel's accumulated output fields, flattened into
-/// named float vectors for byte comparison and ULP accounting.
+/// named float vectors for byte comparison and ULP accounting. A field
+/// holds one or more consecutive entries per particle (m1 has three).
 using FieldSnapshot = std::vector<std::pair<std::string, std::vector<float>>>;
+
+// --- activity masks ---
+
+/// What an inactive particle's output fields hold before a masked launch,
+/// which must leave them untouched. Active particles start at zero, like
+/// the accumulators a step zeroes.
+constexpr float kUntouched = 12345.0f;
+
+float start_value(const std::uint8_t* mask, std::size_t i) {
+  return mask && !mask[i] ? kUntouched : 0.0f;
+}
+
+void reset_field(std::vector<float>& field, const std::uint8_t* mask) {
+  for (std::size_t i = 0; i < field.size(); ++i) {
+    field[i] = start_value(mask, i);
+  }
+}
+
+/// One activity mask of the differential sweep; empty = no mask.
+struct MaskCase {
+  std::string name;
+  std::vector<std::uint8_t> mask;
+  const std::uint8_t* data() const {
+    return mask.empty() ? nullptr : mask.data();
+  }
+};
+
+/// The sweep's masks over `p`: none, all inactive, random with holes, and
+/// substep 2 of a depth-3 timestep-bin schedule. Assigns random bins and
+/// orders `mesh`'s leaves by them, as a step does, so the last mask is an
+/// active prefix of every leaf.
+std::vector<MaskCase> mask_cases(Particles& p, tree::ChainingMesh& mesh,
+                                 std::uint64_t seed) {
+  constexpr int kDepth = 3;
+  SplitMix64 rng(seed);
+  const std::size_t n = p.size();
+  std::vector<std::uint8_t> holes(n), prefix(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    holes[i] = rng.next_double() < 0.5 ? 1 : 0;
+    p.bin[i] = static_cast<std::uint8_t>(rng.next_bounded(kDepth + 1));
+    prefix[i] = integrator::bin_active(p.bin[i], 2, kDepth) ? 1 : 0;
+  }
+  mesh.order_members_by_bin(p);
+  return {{"no mask", {}},
+          {"all inactive", std::vector<std::uint8_t>(n, 0)},
+          {"holes", std::move(holes)},
+          {"bin prefix", std::move(prefix)}};
+}
+
+/// Ordered pair evaluations of a culled launch over `plan`: each active
+/// owner lane times its partners (a self pair's lane skips itself).
+std::uint64_t expected_interactions(const tree::ChainingMesh& mesh,
+                                    const LaunchPlan& plan,
+                                    const std::uint8_t* mask) {
+  std::uint64_t total = 0;
+  for (std::size_t t = 0; t < plan.num_owners(); ++t) {
+    const tree::Leaf& owner = mesh.leaf(plan.owner(t));
+    std::uint64_t active = 0;
+    for (std::uint32_t s = owner.begin; s < owner.end; ++s) {
+      active += !mask || mask[mesh.permutation()[s]];
+    }
+    for (const LaunchPlan::Entry& e : plan.entries(t)) {
+      const std::uint64_t partners =
+          e.side == LaunchPlan::Side::kBoth
+              ? owner.size() - 1
+              : mesh.leaf(mesh.base_leaf(e.partner)).size();
+      total += active * partners;
+    }
+  }
+  return total;
+}
+
+/// A masked launch's outputs against the unmasked launch's: bitwise
+/// equal for active particles, kUntouched for inactive ones.
+void expect_masked_outputs(const FieldSnapshot& unmasked,
+                           const FieldSnapshot& masked,
+                           const std::uint8_t* mask, std::size_t n,
+                           const std::string& label) {
+  ASSERT_EQ(unmasked.size(), masked.size()) << label;
+  for (std::size_t k = 0; k < masked.size(); ++k) {
+    const std::vector<float>& want = unmasked[k].second;
+    const std::vector<float>& got = masked[k].second;
+    ASSERT_EQ(want.size(), got.size()) << label;
+    const std::size_t stride = got.size() / n;
+    for (std::size_t e = 0; e < got.size(); ++e) {
+      const std::size_t i = e / stride;
+      const float expected = !mask || mask[i] ? want[e] : kUntouched;
+      if (bits_of(got[e]) != bits_of(expected)) {
+        ADD_FAILURE() << label << " field " << masked[k].first
+                      << " particle " << i << " (active "
+                      << (!mask || mask[i]) << "): " << got[e] << " vs "
+                      << expected;
+        break;  // one detailed failure per field is enough
+      }
+    }
+  }
+}
 
 FieldSnapshot run_density(GasFixture& f, Tiles tiles,
                           const LaunchConfig& config, util::ThreadPool* pool,
-                          LaunchStats* stats_out) {
+                          LaunchStats* stats_out,
+                          const std::uint8_t* mask = nullptr) {
   const std::vector<float> rho_in = f.p.rho;  // restored below
-  std::fill(f.p.rho.begin(), f.p.rho.end(), 0.0f);
-  std::fill(f.scratch.nnbr.begin(), f.scratch.nnbr.end(), 0.0f);
-  sph::DensityKernel kernel(f.p, f.scratch, nullptr);
+  reset_field(f.p.rho, mask);
+  reset_field(f.scratch.nnbr, mask);
+  sph::DensityKernel kernel(f.p, f.scratch, mask);
   const auto stats = launch_on(tiles, kernel, f.mesh, f.plan, config, pool);
   if (stats_out) *stats_out = stats;
   FieldSnapshot snap{{"rho", f.p.rho}, {"nnbr", f.scratch.nnbr}};
@@ -443,10 +579,15 @@ FieldSnapshot run_density(GasFixture& f, Tiles tiles,
 
 FieldSnapshot run_moments(GasFixture& f, Tiles tiles,
                           const LaunchConfig& config, util::ThreadPool* pool,
-                          LaunchStats* stats_out) {
-  std::fill(f.scratch.moments.begin(), f.scratch.moments.end(),
-            sph::CrkMoments{});
-  sph::CrkMomentKernel kernel(f.p, f.scratch, nullptr);
+                          LaunchStats* stats_out,
+                          const std::uint8_t* mask = nullptr) {
+  for (std::size_t i = 0; i < f.scratch.moments.size(); ++i) {
+    sph::CrkMoments& m = f.scratch.moments[i];
+    m.m0 = start_value(mask, i);
+    m.m1.fill(start_value(mask, i));
+    m.m2.fill(start_value(mask, i));
+  }
+  sph::CrkMomentKernel kernel(f.p, f.scratch, mask);
   const auto stats = launch_on(tiles, kernel, f.mesh, f.plan, config, pool);
   if (stats_out) *stats_out = stats;
   std::vector<float> m0, m1, m2;
@@ -460,13 +601,13 @@ FieldSnapshot run_moments(GasFixture& f, Tiles tiles,
 
 FieldSnapshot run_momentum(GasFixture& f, Tiles tiles,
                            const LaunchConfig& config, util::ThreadPool* pool,
-                           LaunchStats* stats_out) {
-  std::fill(f.p.ax.begin(), f.p.ax.end(), 0.0f);
-  std::fill(f.p.ay.begin(), f.p.ay.end(), 0.0f);
-  std::fill(f.p.az.begin(), f.p.az.end(), 0.0f);
-  std::fill(f.p.du.begin(), f.p.du.end(), 0.0f);
-  std::fill(f.scratch.vsig.begin(), f.scratch.vsig.end(), 0.0f);
-  sph::MomentumEnergyKernel kernel(f.p, f.scratch, nullptr,
+                           LaunchStats* stats_out,
+                           const std::uint8_t* mask = nullptr) {
+  for (std::vector<float>* field :
+       {&f.p.ax, &f.p.ay, &f.p.az, &f.p.du, &f.scratch.vsig}) {
+    reset_field(*field, mask);
+  }
+  sph::MomentumEnergyKernel kernel(f.p, f.scratch, mask,
                                    sph::ViscosityParams{});
   const auto stats = launch_on(tiles, kernel, f.mesh, f.plan, config, pool);
   if (stats_out) *stats_out = stats;
@@ -481,11 +622,12 @@ FieldSnapshot run_gravity(Particles& p, const tree::ChainingMesh& mesh,
                           const PairList& pairs,
                           const mesh::ForceSplit* split, Tiles tiles,
                           const LaunchConfig& config, util::ThreadPool* pool,
-                          LaunchStats* stats_out) {
-  std::fill(p.ax.begin(), p.ax.end(), 0.0f);
-  std::fill(p.ay.begin(), p.ay.end(), 0.0f);
-  std::fill(p.az.begin(), p.az.end(), 0.0f);
-  gravity::ShortRangeKernel kernel(p, nullptr, split, 1.0f, 0.05f, 1.9f);
+                          LaunchStats* stats_out,
+                          const std::uint8_t* mask = nullptr) {
+  for (std::vector<float>* field : {&p.ax, &p.ay, &p.az}) {
+    reset_field(*field, mask);
+  }
+  gravity::ShortRangeKernel kernel(p, mask, split, 1.0f, 0.05f, 1.9f);
   const auto stats =
       launch_on(tiles, kernel, mesh, LaunchPlan(mesh, pairs), config, pool);
   if (stats_out) *stats_out = stats;
@@ -502,36 +644,53 @@ void expect_snapshot_bitwise_eq(const FieldSnapshot& a, const FieldSnapshot& b,
   }
 }
 
-/// The full differential sweep for one runner: the reference is a serial
-/// ScalarTiles launch; the kernel as built (serial and @8 threads) and
-/// ScalarTiles @8 must all match it bitwise and on every LaunchStats
-/// counter. An as-built launch's register footprint tells which engine
-/// it ran: it must differ from the scalar reference's exactly when
-/// config.vector_tiles() holds (every kernel here has a SIMD form).
+/// The full differential sweep for one runner, under every activity
+/// mask of `masks`. Per mask, the reference is a serial ScalarTiles
+/// launch: its active outputs must equal the unmasked launch's bitwise
+/// and its inactive outputs stay untouched, and its interactions count
+/// the active owner lanes times their partners over `plan`. The kernel
+/// as built (serial and @8 threads) and ScalarTiles @8 must all match
+/// the reference bitwise and on every LaunchStats counter. An as-built
+/// launch's register footprint tells which engine it ran: it must differ
+/// from the scalar reference's exactly when config.vector_tiles() holds
+/// (every kernel here has a SIMD form).
 template <typename Runner>
-void differential_sweep(Runner&& run, std::uint32_t warp_size,
-                        const std::string& label) {
+void differential_sweep(Runner&& run, const tree::ChainingMesh& mesh,
+                        const LaunchPlan& plan,
+                        const std::vector<MaskCase>& masks,
+                        std::uint32_t warp_size, const std::string& label) {
   util::ThreadPool pool(8);
   const LaunchConfig config{.warp_size = warp_size};
-  LaunchStats ref_stats;
-  const auto reference = run(Tiles::kScalar, config, nullptr, &ref_stats);
-  struct Variant {
-    Tiles tiles;
-    util::ThreadPool* pool;
-    const char* name;
-  };
-  for (const Variant& v : {Variant{Tiles::kAsBuilt, nullptr, " as built"},
-                           Variant{Tiles::kAsBuilt, &pool, " as built @8"},
-                           Variant{Tiles::kScalar, &pool, " scalar @8"}}) {
-    LaunchStats stats;
-    expect_snapshot_bitwise_eq(reference, run(v.tiles, config, v.pool, &stats),
-                               label + v.name);
-    expect_counter_parity(ref_stats, stats, (label + v.name).c_str());
-    if (v.tiles == Tiles::kAsBuilt) {
-      EXPECT_EQ(stats.register_bytes_per_thread !=
-                    ref_stats.register_bytes_per_thread,
-                config.vector_tiles())
-          << label << v.name << " ran the wrong tile engine";
+  const auto unmasked = run(Tiles::kScalar, config, nullptr, nullptr, nullptr);
+  for (const MaskCase& m : masks) {
+    const std::string mlabel = label + " " + m.name;
+    LaunchStats ref_stats;
+    const auto reference =
+        run(Tiles::kScalar, config, nullptr, &ref_stats, m.data());
+    expect_masked_outputs(unmasked, reference, m.data(), mesh.num_particles(),
+                          mlabel);
+    EXPECT_EQ(ref_stats.interactions,
+              expected_interactions(mesh, plan, m.data()))
+        << mlabel;
+    struct Variant {
+      Tiles tiles;
+      util::ThreadPool* pool;
+      const char* name;
+    };
+    for (const Variant& v : {Variant{Tiles::kAsBuilt, nullptr, " as built"},
+                             Variant{Tiles::kAsBuilt, &pool, " as built @8"},
+                             Variant{Tiles::kScalar, &pool, " scalar @8"}}) {
+      LaunchStats stats;
+      expect_snapshot_bitwise_eq(
+          reference, run(v.tiles, config, v.pool, &stats, m.data()),
+          mlabel + v.name);
+      expect_counter_parity(ref_stats, stats, (mlabel + v.name).c_str());
+      if (v.tiles == Tiles::kAsBuilt) {
+        EXPECT_EQ(stats.register_bytes_per_thread !=
+                      ref_stats.register_bytes_per_thread,
+                  config.vector_tiles())
+            << mlabel << v.name << " ran the wrong tile engine";
+      }
     }
   }
 }
@@ -541,28 +700,37 @@ class SimdDifferentialTest : public ::testing::TestWithParam<std::uint32_t> {};
 TEST_P(SimdDifferentialTest, DensityBitwiseAcrossSchedules) {
   const std::uint32_t warp = GetParam();
   GasFixture f(6, 6.0, 16, 51);
+  const auto masks = mask_cases(f.p, f.mesh, 151);
   differential_sweep(
       [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pool,
-          LaunchStats* s) { return run_density(f, t, c, pool, s); },
-      warp, "density w" + std::to_string(warp));
+          LaunchStats* s, const std::uint8_t* m) {
+        return run_density(f, t, c, pool, s, m);
+      },
+      f.mesh, f.plan, masks, warp, "density w" + std::to_string(warp));
 }
 
 TEST_P(SimdDifferentialTest, CrkMomentsBitwiseAcrossSchedules) {
   const std::uint32_t warp = GetParam();
   GasFixture f(6, 6.0, 16, 52);
+  const auto masks = mask_cases(f.p, f.mesh, 152);
   differential_sweep(
       [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pool,
-          LaunchStats* s) { return run_moments(f, t, c, pool, s); },
-      warp, "moments w" + std::to_string(warp));
+          LaunchStats* s, const std::uint8_t* m) {
+        return run_moments(f, t, c, pool, s, m);
+      },
+      f.mesh, f.plan, masks, warp, "moments w" + std::to_string(warp));
 }
 
 TEST_P(SimdDifferentialTest, MomentumEnergyBitwiseAcrossSchedules) {
   const std::uint32_t warp = GetParam();
   GasFixture f(6, 6.0, 16, 53);
+  const auto masks = mask_cases(f.p, f.mesh, 153);
   differential_sweep(
       [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pool,
-          LaunchStats* s) { return run_momentum(f, t, c, pool, s); },
-      warp, "momentum w" + std::to_string(warp));
+          LaunchStats* s, const std::uint8_t* m) {
+        return run_momentum(f, t, c, pool, s, m);
+      },
+      f.mesh, f.plan, masks, warp, "momentum w" + std::to_string(warp));
 }
 
 TEST_P(SimdDifferentialTest, GravityBitwiseAcrossSchedules) {
@@ -571,6 +739,8 @@ TEST_P(SimdDifferentialTest, GravityBitwiseAcrossSchedules) {
   tree::ChainingMesh mesh(cube(6.0), {2.0, 16});
   mesh.build(p);
   const auto pairs = mesh.interaction_pairs(10.0);
+  const LaunchPlan plan(mesh, pairs);
+  const auto masks = mask_cases(p, mesh, 154);
   // Newtonian, and split (the in-lane split polynomial).
   const mesh::ForceSplit split(0.5);
   for (const mesh::ForceSplit* s : {static_cast<const mesh::ForceSplit*>(
@@ -578,10 +748,10 @@ TEST_P(SimdDifferentialTest, GravityBitwiseAcrossSchedules) {
                                     &split}) {
     differential_sweep(
         [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pool,
-            LaunchStats* st) {
-          return run_gravity(p, mesh, pairs, s, t, c, pool, st);
+            LaunchStats* st, const std::uint8_t* m) {
+          return run_gravity(p, mesh, pairs, s, t, c, pool, st, m);
         },
-        warp,
+        mesh, plan, masks, warp,
         std::string("gravity ") + (s ? "split" : "newtonian") + " w" +
             std::to_string(warp));
   }
@@ -627,27 +797,35 @@ TEST_P(SimdDifferentialTest, PeriodicImagePartnersBitwiseAcrossSchedules) {
     }
   }
   ASSERT_GT(images, 0u);
+  const auto masks = mask_cases(f.p, f.mesh, 156);
   const std::string w = " w" + std::to_string(warp);
   differential_sweep(
       [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pool,
-          LaunchStats* s) { return run_density(f, t, c, pool, s); },
-      warp, "periodic density" + w);
+          LaunchStats* s, const std::uint8_t* m) {
+        return run_density(f, t, c, pool, s, m);
+      },
+      f.mesh, f.plan, masks, warp, "periodic density" + w);
   differential_sweep(
       [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pool,
-          LaunchStats* s) { return run_moments(f, t, c, pool, s); },
-      warp, "periodic moments" + w);
+          LaunchStats* s, const std::uint8_t* m) {
+        return run_moments(f, t, c, pool, s, m);
+      },
+      f.mesh, f.plan, masks, warp, "periodic moments" + w);
   differential_sweep(
       [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pool,
-          LaunchStats* s) { return run_momentum(f, t, c, pool, s); },
-      warp, "periodic momentum" + w);
+          LaunchStats* s, const std::uint8_t* m) {
+        return run_momentum(f, t, c, pool, s, m);
+      },
+      f.mesh, f.plan, masks, warp, "periodic momentum" + w);
   const mesh::ForceSplit split(0.5);
   const PairList pairs = f.mesh.interaction_pairs(1.9);
   differential_sweep(
       [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pool,
-          LaunchStats* st) {
-        return run_gravity(f.p, f.mesh, pairs, &split, t, c, pool, st);
+          LaunchStats* st, const std::uint8_t* m) {
+        return run_gravity(f.p, f.mesh, pairs, &split, t, c, pool, st, m);
       },
-      warp, "periodic gravity split" + w);
+      f.mesh, LaunchPlan(f.mesh, pairs), masks, warp,
+      "periodic gravity split" + w);
 }
 
 INSTANTIATE_TEST_SUITE_P(WarpSizes, SimdDifferentialTest,
@@ -684,14 +862,15 @@ TEST(SimdDifferential, EdgeGeometries) {
     tree::ChainingMesh mesh(cube(1.0), {2.0, leaf_size});
     mesh.build(p);
     const auto pairs = mesh.interaction_pairs(10.0);
+    const auto masks = mask_cases(p, mesh, 160 + leaf_size);
     const auto label = "gravity n" + std::to_string(n) + " leaf" +
                        std::to_string(leaf_size);
     differential_sweep(
         [&](Tiles t, const LaunchConfig& c, util::ThreadPool* pl,
-            LaunchStats* st) {
-          return run_gravity(p, mesh, pairs, nullptr, t, c, pl, st);
+            LaunchStats* st, const std::uint8_t* m) {
+          return run_gravity(p, mesh, pairs, nullptr, t, c, pl, st, m);
         },
-        16, label);
+        mesh, LaunchPlan(mesh, pairs), masks, 16, label);
   }
 }
 

@@ -13,6 +13,7 @@
 #include "tree/chaining_mesh.h"
 #include "tree/lbvh.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace crkhacc::tree {
 namespace {
@@ -515,6 +516,75 @@ TEST(BinOccupancy, BinWiderThanDomainCollapsesToOneBin) {
   EXPECT_EQ(stats.counted, 40u);
   EXPECT_EQ(stats.max_bin, 40u);
   EXPECT_EQ(stats.mean_bin, 40.0);
+}
+
+// --- timestep-bin order within leaves ----------------------------------------
+
+// order_members_by_bin is a stable sort of each leaf's members by
+// descending bin: members, AABBs and leaf ranges stay, equal bins keep
+// their build order, every substep's active members lead each leaf, and
+// a pool changes nothing.
+TEST(ChainingMesh, OrderMembersByBinStablySortsEachLeaf) {
+  auto p = random_particles(600, 10.0, 31);
+  SplitMix64 rng(32);
+  constexpr int kDepth = 3;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    p.bin[i] = static_cast<std::uint8_t>(rng.next_bounded(kDepth + 1));
+  }
+  ChainingMesh built(unit_box(10.0), {2.0, 16});
+  built.build(p);
+  std::vector<std::uint32_t> build_slot(p.size());
+  for (std::uint32_t s = 0; s < built.num_particles(); ++s) {
+    build_slot[built.permutation()[s]] = s;
+  }
+
+  util::ThreadPool pool(4);
+  std::vector<std::vector<std::uint32_t>> perms;
+  for (util::ThreadPool* pl : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    ChainingMesh mesh = built;
+    mesh.order_members_by_bin(p, pl);
+    ASSERT_EQ(mesh.num_leaves(), built.num_leaves());
+    const auto& perm = mesh.permutation();
+    for (std::size_t l = 0; l < mesh.num_leaves(); ++l) {
+      const Leaf& got = mesh.leaf(l);
+      const Leaf& want = built.leaf(l);
+      ASSERT_EQ(got.begin, want.begin);
+      ASSERT_EQ(got.end, want.end);
+      EXPECT_EQ(got.lo, want.lo);
+      EXPECT_EQ(got.hi, want.hi);
+      std::vector<std::uint32_t> members(perm.begin() + got.begin,
+                                         perm.begin() + got.end);
+      std::vector<std::uint32_t> built_members(
+          built.permutation().begin() + want.begin,
+          built.permutation().begin() + want.end);
+      std::sort(members.begin(), members.end());
+      std::sort(built_members.begin(), built_members.end());
+      EXPECT_EQ(members, built_members) << "leaf " << l;
+      for (std::uint32_t s = got.begin + 1; s < got.end; ++s) {
+        const std::uint32_t prev = perm[s - 1];
+        const std::uint32_t cur = perm[s];
+        ASSERT_GE(p.bin[prev], p.bin[cur]) << "leaf " << l << " slot " << s;
+        if (p.bin[prev] == p.bin[cur]) {
+          EXPECT_LT(build_slot[prev], build_slot[cur])
+              << "equal bins left build order, leaf " << l;
+        }
+      }
+      // Bin b is active at substep s iff s is a multiple of
+      // 2^(depth - b) (integrator::bin_active): deeper bins are active
+      // whenever shallower ones are, so the active members are a prefix.
+      for (std::uint32_t sub = 0; sub < (1u << kDepth); ++sub) {
+        bool seen_inactive = false;
+        for (std::uint32_t s = got.begin; s < got.end; ++s) {
+          const bool active = sub % (1u << (kDepth - p.bin[perm[s]])) == 0;
+          EXPECT_FALSE(active && seen_inactive)
+              << "active member after an inactive one, leaf " << l;
+          seen_inactive = seen_inactive || !active;
+        }
+      }
+    }
+    perms.push_back(perm);
+  }
+  EXPECT_EQ(perms[0], perms[1]);
 }
 
 // --- load-balancer support accessors -----------------------------------------
