@@ -78,7 +78,9 @@ inline void shift_state(State& s, const float* shift) {
 /// one source of truth for which lanes run.
 template <typename Kernel>
 const std::uint8_t* owner_mask(const Kernel& kernel) {
-  if constexpr (requires { { kernel.active() } -> std::same_as<const std::uint8_t*>; }) {
+  if constexpr (requires {
+                  { kernel.active() } -> std::same_as<const std::uint8_t*>;
+                }) {
     return kernel.active();
   } else {
     return nullptr;
@@ -197,7 +199,9 @@ void simd_accum_rows(Kernel& kernel, const SimdLaneBuffer<Kernel>& self,
     }
     const std::uint32_t hi = std::min(lb + simd::kWidth, self.n);
     for (std::uint32_t l = lb; l < hi; ++l) {
-      if ((self_bits >> (l - lb)) & 1u) kernel.store(self.idx[l], acc.lane(l - lb));
+      if ((self_bits >> (l - lb)) & 1u) {
+        kernel.store(self.idx[l], acc.lane(l - lb));
+      }
     }
     stats.stores += static_cast<std::uint64_t>(std::popcount(self_bits));
   }

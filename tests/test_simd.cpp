@@ -1052,8 +1052,11 @@ TEST(SimdConfigValidation, VectorTilesTruthTable) {
   EXPECT_NE(LaunchConfig{.warp_size = 1}.invalid_reason(), nullptr);
 
   // The configs outside the vector engine launch fine and run scalar
-  // tiles: bitwise equal to ScalarTiles, with the scalar footprint.
+  // tiles: bitwise equal to ScalarTiles, with the scalar footprint, and
+  // they cull inactive owner lanes like the vector engine (naive mode
+  // included).
   GasFixture f(5, 5.0, 16, 72);
+  const auto masks = mask_cases(f.p, f.mesh, 172);
   for (const LaunchConfig config :
        {LaunchConfig{.mode = LaunchMode::kNaive}, LaunchConfig{.warp_size = 6},
         LaunchConfig{.warp_size = 24}}) {
@@ -1071,6 +1074,17 @@ TEST(SimdConfigValidation, VectorTilesTruthTable) {
     EXPECT_EQ(built_stats.register_bytes_per_thread,
               scalar_stats.register_bytes_per_thread)
         << label;
+    for (const MaskCase& m : masks) {
+      LaunchStats masked_stats;
+      expect_masked_outputs(
+          scalar,
+          run_momentum(f, Tiles::kAsBuilt, config, nullptr, &masked_stats,
+                       m.data()),
+          m.data(), f.p.size(), label + " " + m.name);
+      EXPECT_EQ(masked_stats.interactions,
+                expected_interactions(f.mesh, f.plan, m.data()))
+          << label << " " << m.name;
+    }
   }
 }
 

@@ -540,9 +540,10 @@ TEST(ChainingMesh, OrderMembersByBinStablySortsEachLeaf) {
 
   util::ThreadPool pool(4);
   std::vector<std::vector<std::uint32_t>> perms;
-  for (util::ThreadPool* pl : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+  for (util::ThreadPool* with : {static_cast<util::ThreadPool*>(nullptr),
+                                 &pool}) {
     ChainingMesh mesh = built;
-    mesh.order_members_by_bin(p, pl);
+    mesh.order_members_by_bin(p, with);
     ASSERT_EQ(mesh.num_leaves(), built.num_leaves());
     const auto& perm = mesh.permutation();
     for (std::size_t l = 0; l < mesh.num_leaves(); ++l) {
