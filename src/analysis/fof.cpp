@@ -18,14 +18,15 @@ FofResult fof(std::span<const float> x, std::span<const float> y,
   result.group_of.assign(n, FofResult::kUngrouped);
   if (n == 0) return result;
 
+  // The join reports each pair within the linking length once: the pairs
+  // a radius query from every particle finds. Components, and so the
+  // groups below, do not depend on the order of the unions.
   const tree::Bvh bvh(x, y, z);
   UnionFind dsu(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    bvh.radius_query(x[i], y[i], z[i], linking_length,
-                     [&](std::uint32_t j) {
-                       if (j > i) dsu.unite(static_cast<std::uint32_t>(i), j);
-                     });
-  }
+  bvh.for_each_pair_within(linking_length,
+                           [&dsu](std::uint32_t i, std::uint32_t j) {
+                             dsu.unite(i, j);
+                           });
 
   // Component roots -> dense group ids for components above threshold.
   std::vector<std::uint32_t> root(n);

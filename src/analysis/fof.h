@@ -3,10 +3,12 @@
 // The classic percolation group finder (Davis et al. 1985): particles
 // closer than the linking length b belong to the same group; halos are
 // the connected components with at least `min_members` members. Neighbor
-// discovery runs through the ArborX-analog BVH, exactly as the paper's in
-// situ pipeline does on-device. Operates on a rank's local (overloaded)
-// particle set; cross-rank dedup keys halos on whether their center lies
-// in the rank's owned box.
+// discovery runs on the ArborX-analog BVH, as the paper's in situ
+// pipeline does on-device: one dual-tree self-join links leaf against
+// leaf (tree::Bvh::for_each_pair_within) instead of a query per
+// particle. Operates on a rank's local (overloaded) particle set;
+// cross-rank dedup keys halos on whether their center lies in the rank's
+// owned box.
 #pragma once
 
 #include <cstdint>

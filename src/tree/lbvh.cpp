@@ -91,14 +91,4 @@ std::uint32_t Bvh::build_range(std::uint32_t begin, std::uint32_t end) {
   return my_index;
 }
 
-float Bvh::aabb_point_distance_sq(const Node& node, float x, float y, float z) {
-  float d2 = 0.f;
-  const float p[3] = {x, y, z};
-  for (int d = 0; d < 3; ++d) {
-    const float gap = std::max({0.f, node.lo[d] - p[d], p[d] - node.hi[d]});
-    d2 += gap * gap;
-  }
-  return d2;
-}
-
 }  // namespace crkhacc::tree

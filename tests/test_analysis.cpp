@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <initializer_list>
 #include <numbers>
 #include <set>
+#include <span>
+#include <utility>
 
 #include "analysis/dbscan.h"
 #include "analysis/fof.h"
@@ -17,7 +20,10 @@
 #include "analysis/so_masses.h"
 #include "analysis/union_find.h"
 #include "comm/world.h"
+#include "core/exchange.h"
 #include "core/particles.h"
+#include "core/simulation.h"
+#include "tree/lbvh.h"
 #include "util/rng.h"
 
 namespace crkhacc::analysis {
@@ -141,6 +147,226 @@ TEST(Fof, GroupsSortedBySizeDescending) {
   EXPECT_GE(result.groups[0].size(), result.groups[1].size());
   EXPECT_GE(result.groups[1].size(), result.groups[2].size());
   EXPECT_EQ(result.groups[0].size(), 80u);
+}
+
+// --- FOF against the per-particle reference -----------------------------------
+
+/// FOF as it linked before the pair join: one radius_query from every
+/// particle, uniting each neighbor above it; then fof()'s numbering, kept
+/// here line for line (groups in order of first member, sorted largest
+/// first), so the comparison below is bitwise.
+FofResult fof_per_particle(std::span<const float> x, std::span<const float> y,
+                           std::span<const float> z, float linking_length,
+                           std::size_t min_members) {
+  const std::size_t n = x.size();
+  FofResult result;
+  result.group_of.assign(n, FofResult::kUngrouped);
+  if (n == 0) return result;
+
+  const tree::Bvh bvh(x, y, z);
+  UnionFind dsu(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    bvh.radius_query(x[i], y[i], z[i], linking_length,
+                     [&](std::uint32_t j) {
+                       if (j > i) dsu.unite(static_cast<std::uint32_t>(i), j);
+                     });
+  }
+
+  std::vector<std::uint32_t> root(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    root[i] = dsu.find(static_cast<std::uint32_t>(i));
+  }
+  std::vector<std::int32_t> group_of_root(n, FofResult::kUngrouped);
+  std::vector<std::vector<std::uint32_t>> groups;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t r = root[i];
+    if (dsu.component_size(r) < min_members) continue;
+    if (group_of_root[r] == FofResult::kUngrouped) {
+      group_of_root[r] = static_cast<std::int32_t>(groups.size());
+      groups.emplace_back();
+    }
+    const auto g = group_of_root[r];
+    groups[static_cast<std::size_t>(g)].push_back(static_cast<std::uint32_t>(i));
+    result.group_of[i] = g;
+  }
+
+  std::vector<std::size_t> order(groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) order[g] = g;
+  std::sort(order.begin(), order.end(), [&groups](std::size_t a, std::size_t b) {
+    return groups[a].size() > groups[b].size();
+  });
+  std::vector<std::int32_t> remap(groups.size());
+  std::vector<std::vector<std::uint32_t>> sorted_groups(groups.size());
+  for (std::size_t rank = 0; rank < order.size(); ++rank) {
+    remap[order[rank]] = static_cast<std::int32_t>(rank);
+    sorted_groups[rank] = std::move(groups[order[rank]]);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (result.group_of[i] != FofResult::kUngrouped) {
+      result.group_of[i] = remap[static_cast<std::size_t>(result.group_of[i])];
+    }
+  }
+  result.groups = std::move(sorted_groups);
+  return result;
+}
+
+/// fof() equals the per-particle reference bit for bit at each linking
+/// length, with every particle grouped and with the run's threshold of 8.
+/// Returns the largest group's size over the lengths.
+std::size_t expect_fof_matches_per_particle(std::span<const float> x,
+                                            std::span<const float> y,
+                                            std::span<const float> z,
+                                            std::initializer_list<float> lengths) {
+  std::size_t largest = 0;
+  for (const float ll : lengths) {
+    for (const std::size_t min_members : {std::size_t{1}, std::size_t{8}}) {
+      const auto result = fof(x, y, z, ll, min_members);
+      const auto reference = fof_per_particle(x, y, z, ll, min_members);
+      EXPECT_EQ(result.group_of, reference.group_of)
+          << "ll " << ll << ", min_members " << min_members;
+      EXPECT_EQ(result.groups, reference.groups)
+          << "ll " << ll << ", min_members " << min_members;
+      if (!result.groups.empty()) {
+        largest = std::max(largest, result.groups.front().size());
+      }
+    }
+  }
+  return largest;
+}
+
+TEST(FofPairJoin, UniformMatchesPerParticleQueries) {
+  SplitMix64 rng(11);
+  std::vector<float> x, y, z;
+  for (int i = 0; i < 3000; ++i) {
+    x.push_back(static_cast<float>(rng.next_double() * 10.0));
+    y.push_back(static_cast<float>(rng.next_double() * 10.0));
+    z.push_back(static_cast<float>(rng.next_double() * 10.0));
+  }
+  // Below, near and above the percolation length (~0.6 here).
+  EXPECT_GT(expect_fof_matches_per_particle(x, y, z, {0.3f, 0.6f, 0.9f}),
+            100u);
+}
+
+TEST(FofPairJoin, PlummerClustersMatchPerParticleQueries) {
+  // Three Plummer spheres (scale radius 0.5, radii capped at 8) over a
+  // uniform background, in a box of 20.
+  SplitMix64 rng(12);
+  std::vector<float> x, y, z;
+  const std::array<std::array<double, 3>, 3> centers{
+      {{5.0, 5.0, 5.0}, {14.0, 6.0, 12.0}, {9.0, 15.0, 8.0}}};
+  for (const auto& c : centers) {
+    for (int i = 0; i < 2000; ++i) {
+      double r = 0.0;
+      do {
+        const double u = std::max(rng.next_double(), 1e-12);
+        r = 0.5 / std::sqrt(std::pow(u, -2.0 / 3.0) - 1.0);
+      } while (!(r < 8.0));
+      const double cos_t = 2.0 * rng.next_double() - 1.0;
+      const double sin_t = std::sqrt(1.0 - cos_t * cos_t);
+      const double phi = 2.0 * std::numbers::pi * rng.next_double();
+      x.push_back(static_cast<float>(c[0] + r * sin_t * std::cos(phi)));
+      y.push_back(static_cast<float>(c[1] + r * sin_t * std::sin(phi)));
+      z.push_back(static_cast<float>(c[2] + r * cos_t));
+    }
+  }
+  for (int i = 0; i < 1000; ++i) {
+    x.push_back(static_cast<float>(rng.next_double() * 20.0));
+    y.push_back(static_cast<float>(rng.next_double() * 20.0));
+    z.push_back(static_cast<float>(rng.next_double() * 20.0));
+  }
+  EXPECT_GT(expect_fof_matches_per_particle(x, y, z, {0.02f, 0.05f, 0.15f}),
+            500u);
+}
+
+TEST(FofPairJoin, DuplicatePointsMatchPerParticleQueries) {
+  // 60 random points, each present one to four times, in shuffled order.
+  SplitMix64 rng(13);
+  std::vector<std::array<float, 3>> points;
+  for (int i = 0; i < 60; ++i) {
+    const std::array<float, 3> p{static_cast<float>(rng.next_double() * 4.0),
+                                 static_cast<float>(rng.next_double() * 4.0),
+                                 static_cast<float>(rng.next_double() * 4.0)};
+    const int copies = 1 + static_cast<int>(rng.next_double() * 4.0);
+    for (int k = 0; k < copies; ++k) points.push_back(p);
+  }
+  for (std::size_t i = points.size() - 1; i > 0; --i) {
+    const auto j = static_cast<std::size_t>(rng.next_double() *
+                                            static_cast<double>(i + 1));
+    std::swap(points[i], points[j]);
+  }
+  std::vector<float> x, y, z;
+  for (const auto& p : points) {
+    x.push_back(p[0]);
+    y.push_back(p[1]);
+    z.push_back(p[2]);
+  }
+  EXPECT_GE(expect_fof_matches_per_particle(x, y, z, {0.0f, 0.4f, 0.8f}),
+            4u);
+  // At length 0 the groups are exactly the sets of copies.
+  const auto exact = fof(x, y, z, 0.0f, 1);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    for (std::size_t j = i + 1; j < points.size(); ++j) {
+      EXPECT_EQ(exact.group_of[i] == exact.group_of[j], points[i] == points[j]);
+    }
+  }
+}
+
+TEST(FofPairJoin, LatticeSpacedAtTheLinkingLength) {
+  // Every lattice edge is exactly one linking length long: the <= test
+  // decides each link. At 0.25 (exact in float) the whole lattice is one
+  // group; at 0.3 the rounded positions decide edge by edge.
+  constexpr int kSide = 9;
+  for (const float spacing : {0.25f, 0.3f}) {
+    std::vector<float> x, y, z;
+    for (int i = 0; i < kSide; ++i) {
+      for (int j = 0; j < kSide; ++j) {
+        for (int k = 0; k < kSide; ++k) {
+          x.push_back(static_cast<float>(i) * spacing);
+          y.push_back(static_cast<float>(j) * spacing);
+          z.push_back(static_cast<float>(k) * spacing);
+        }
+      }
+    }
+    const std::size_t largest =
+        expect_fof_matches_per_particle(x, y, z, {spacing});
+    if (spacing == 0.25f) {
+      EXPECT_EQ(largest, std::size_t{kSide * kSide * kSide});
+    }
+  }
+}
+
+TEST(FofPairJoin, SimulationReplicaCloudMatchesPerParticleQueries) {
+  // The cloud a one-rank run links in situ: owned particles plus their
+  // periodic images, at the run's linking length (b = 0.2) and at longer
+  // ones that percolate.
+  comm::World world(1);
+  world.run([](comm::Communicator& comm) {
+    core::SimConfig config;
+    config.np = 6;
+    config.box = 12.0;
+    config.ng = 12;
+    config.z_init = 30.0;
+    config.z_final = 10.0;
+    config.num_pm_steps = 1;
+    config.hydro = true;
+    config.seed = 5;
+    core::SimContext ctx(config.threads);
+    core::Simulation sim(ctx, comm, config);
+    sim.initialize();
+    const Particles cloud = core::analysis_replica_cloud(
+        sim.decomposition(), sim.particles(), sim.overload_width());
+    ASSERT_GT(cloud.size(), sim.particles().size());
+    const std::size_t n_global = 2 * config.np * config.np * config.np;
+    std::vector<float> lengths;
+    for (const double b : {0.2, 1.0, 1.3}) {
+      lengths.push_back(static_cast<float>(
+          fof_linking_length(config.box, n_global, b)));
+    }
+    EXPECT_GT(expect_fof_matches_per_particle(
+                  cloud.x, cloud.y, cloud.z,
+                  {lengths[0], lengths[1], lengths[2]}),
+              100u);
+  });
 }
 
 TEST(Fof, LinkingLengthConvention) {

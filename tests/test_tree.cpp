@@ -6,7 +6,9 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <span>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/particles.h"
@@ -462,6 +464,48 @@ TEST_P(BvhTest, RadiusQueryMatchesBruteForce) {
   }
 }
 
+/// Check the pair join of `bvh` over (x, y, z) against all pairs: every
+/// unordered pair with d^2 <= r^2 in float is visited exactly once, no
+/// other pair, and never (i, i). Returns the number of pairs visited.
+std::size_t expect_join_matches_brute_force(const Bvh& bvh,
+                                            std::span<const float> x,
+                                            std::span<const float> y,
+                                            std::span<const float> z,
+                                            float radius) {
+  using Pair = std::pair<std::uint32_t, std::uint32_t>;
+  std::map<Pair, int> visits;
+  bvh.for_each_pair_within(radius, [&](std::uint32_t i, std::uint32_t j) {
+    EXPECT_NE(i, j);
+    ++visits[{std::min(i, j), std::max(i, j)}];
+  });
+  std::map<Pair, int> expected;
+  for (std::uint32_t i = 0; i < x.size(); ++i) {
+    for (std::uint32_t j = i + 1; j < x.size(); ++j) {
+      const float dx = x[i] - x[j], dy = y[i] - y[j], dz = z[i] - z[j];
+      if (dx * dx + dy * dy + dz * dz <= radius * radius) expected[{i, j}] = 1;
+    }
+  }
+  EXPECT_EQ(visits, expected) << "radius " << radius;
+  return visits.size();
+}
+
+TEST_P(BvhTest, PairJoinVisitsEveryPairWithinRadiusOnce) {
+  const std::size_t n = GetParam();
+  const auto p = random_particles(n, 4.0, 8);
+  // Leaf size 1 gives the deepest tree: every join split runs on it.
+  for (const std::uint32_t leaf_size : {1u, 8u}) {
+    const Bvh bvh(p.x, p.y, p.z, leaf_size);
+    for (const float radius : {0.0f, 0.3f, 0.8f, 7.0f}) {
+      const std::size_t pairs =
+          expect_join_matches_brute_force(bvh, p.x, p.y, p.z, radius);
+      // A radius past the box diagonal links everything.
+      if (radius == 7.0f) {
+        EXPECT_EQ(pairs, n * (n - 1) / 2);
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, BvhTest, ::testing::Values(1, 2, 7, 64, 500));
 
 TEST(Bvh, EmptySetHandled) {
@@ -469,7 +513,45 @@ TEST(Bvh, EmptySetHandled) {
   const Bvh bvh(none, none, none);
   std::size_t visits = 0;
   bvh.radius_query(0, 0, 0, 10, [&](std::uint32_t) { ++visits; });
+  bvh.for_each_pair_within(10, [&](std::uint32_t, std::uint32_t) { ++visits; });
   EXPECT_EQ(visits, 0u);
+}
+
+TEST(Bvh, PairJoinLinksDuplicatePoints) {
+  // Twelve copies of one point, more than a leaf holds, among scattered
+  // points: the copies are pairwise within any radius, even zero.
+  auto p = random_particles(20, 4.0, 21);
+  for (int k = 0; k < 12; ++k) {
+    p.push_back(100 + k, Species::kDarkMatter, 1.5f, 2.5f, 0.5f, 0, 0, 0, 1.0f);
+  }
+  const Bvh bvh(p.x, p.y, p.z);
+  EXPECT_GE(expect_join_matches_brute_force(bvh, p.x, p.y, p.z, 0.0f), 66u);
+  expect_join_matches_brute_force(bvh, p.x, p.y, p.z, 0.5f);
+}
+
+TEST(Bvh, PairJoinLatticeSpacedAtTheRadius) {
+  // Neighbors sit exactly one radius apart: the <= boundary decides every
+  // link. 0.25 is exact in float, so each lattice edge links and no
+  // diagonal does; 0.3 is not, and brute force decides each edge.
+  constexpr int kSide = 7;
+  for (const float spacing : {0.25f, 0.3f}) {
+    std::vector<float> x, y, z;
+    for (int i = 0; i < kSide; ++i) {
+      for (int j = 0; j < kSide; ++j) {
+        for (int k = 0; k < kSide; ++k) {
+          x.push_back(static_cast<float>(i) * spacing);
+          y.push_back(static_cast<float>(j) * spacing);
+          z.push_back(static_cast<float>(k) * spacing);
+        }
+      }
+    }
+    const Bvh bvh(x, y, z);
+    const std::size_t pairs =
+        expect_join_matches_brute_force(bvh, x, y, z, spacing);
+    if (spacing == 0.25f) {
+      EXPECT_EQ(pairs, std::size_t{3} * kSide * kSide * (kSide - 1));
+    }
+  }
 }
 
 TEST(Bvh, CountWithinIncludesSelf) {
