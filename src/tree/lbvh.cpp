@@ -8,6 +8,15 @@
 #include "util/morton.h"
 
 namespace crkhacc::tree {
+namespace {
+
+/// Nodes build_range makes over n points: the same count-midpoint split.
+std::uint32_t node_count(std::uint32_t n, std::uint32_t leaf_size) {
+  if (n <= leaf_size) return 1;
+  return 1 + node_count(n / 2, leaf_size) + node_count(n - n / 2, leaf_size);
+}
+
+}  // namespace
 
 Bvh::Bvh(std::span<const float> x, std::span<const float> y,
          std::span<const float> z, std::uint32_t leaf_size)
@@ -50,10 +59,13 @@ Bvh::Bvh(std::span<const float> x, std::span<const float> y,
     px_[s] = x[i]; py_[s] = y[i]; pz_[s] = z[i];
     index_[s] = i;
   }
-  nodes_.reserve(2 * count_ / leaf_size_ + 2);
+  const std::uint32_t nodes =
+      node_count(static_cast<std::uint32_t>(count_), leaf_size_);
+  nodes_.reserve(nodes);
   nodes_.emplace_back();  // root placeholder at index 0
   const std::uint32_t root = build_range(0, static_cast<std::uint32_t>(count_));
   CHECK(root == 0);
+  CHECK(nodes_.size() == nodes);
 }
 
 std::uint32_t Bvh::build_range(std::uint32_t begin, std::uint32_t end) {
