@@ -163,9 +163,16 @@ Particles analysis_replica_cloud(const comm::CartDecomposition& decomp,
   Particles cloud = particles;
   cloud.compact(owned);
   // The exchange's self-target rules, appended in its order: particle by
-  // particle, rule by rule.
+  // particle, rule by rule. A first pass counts the images, so every
+  // column is allocated once at its final size.
   const auto regions = build_ghost_regions(decomp, 0, overload, true);
   const std::size_t n = cloud.size();
+  std::size_t images = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::array<double, 3> pos{cloud.x[i], cloud.y[i], cloud.z[i]};
+    for (const auto& rule : regions) images += rule.region.contains(pos);
+  }
+  cloud.reserve(n + images);
   for (std::size_t i = 0; i < n; ++i) {
     const std::array<double, 3> pos{cloud.x[i], cloud.y[i], cloud.z[i]};
     for (const auto& rule : regions) {

@@ -185,6 +185,71 @@ TEST(Exchange, SingleRankSelfImagesOnlyInAnalysisCloud) {
   });
 }
 
+TEST(Exchange, AnalysisCloudRowsFollowTheOverloadRule) {
+  // Every row of the replica cloud, in order: the owned particles as they
+  // are (ghost rows dropped), then, particle by particle, each image whose
+  // position lands in the overloaded box, offsets in (x, y, z) loop order.
+  constexpr double kBox = 10.0;
+  constexpr double kOverload = 1.5;
+  const comm::CartDecomposition decomp(1, kBox);
+  Particles p;
+  SplitMix64 rng(17);
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    const std::size_t row = p.push_back(
+        i, i % 2 ? Species::kGas : Species::kDarkMatter,
+        static_cast<float>(rng.next_double() * kBox),
+        static_cast<float>(rng.next_double() * kBox),
+        static_cast<float>(rng.next_double() * kBox), 1.0f * i, 2.0f, 3.0f,
+        1.0f + i);
+    p.u[row] = 0.5f * i;
+    p.rho[row] = 2.0f;
+    p.hsml[row] = 0.3f;
+    p.metal[row] = 0.01f;
+    p.bin[row] = static_cast<std::uint8_t>(i % 3);
+    p.ax[row] = 9.0f;  // scratch: copied for owned rows, zero for images
+    if (i % 50 == 7) p.ghost[row] = 1;
+  }
+
+  Particles expected;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    if (p.is_owned(i)) expected.append_from(p, i);
+  }
+  const std::size_t owned = expected.size();
+  const auto obox = decomp.overloaded_box(0, kOverload);
+  for (std::size_t i = 0; i < owned; ++i) {
+    for (int ox = -1; ox <= 1; ++ox) {
+      for (int oy = -1; oy <= 1; ++oy) {
+        for (int oz = -1; oz <= 1; ++oz) {
+          if (ox == 0 && oy == 0 && oz == 0) continue;
+          const std::array<double, 3> image{
+              static_cast<double>(expected.x[i]) + ox * kBox,
+              static_cast<double>(expected.y[i]) + oy * kBox,
+              static_cast<double>(expected.z[i]) + oz * kBox};
+          if (!obox.contains(image)) continue;
+          auto record = expected.record(i);
+          record.x = static_cast<float>(image[0]);
+          record.y = static_cast<float>(image[1]);
+          record.z = static_cast<float>(image[2]);
+          record.ghost = 1;
+          expected.append_record(record);
+        }
+      }
+    }
+  }
+
+  const Particles cloud = analysis_replica_cloud(decomp, p, kOverload);
+  ASSERT_GT(expected.size(), owned);
+  EXPECT_EQ(first_state_difference(cloud, expected), "");
+  for (std::size_t i = 0; i < cloud.size(); ++i) {
+    ASSERT_EQ(cloud.ax[i], i < owned ? 9.0f : 0.0f) << "row " << i;
+  }
+  // The rows are counted first, so every column is allocated once at its
+  // final size.
+  for_each_column([&](const auto& c) {
+    EXPECT_EQ((cloud.*c.member).capacity(), cloud.size()) << c.name;
+  });
+}
+
 TEST(Exchange, SelfPeriodicOnlyForOneRankWorlds) {
   for (const int ranks : {1, 2, 4, 8}) {
     EXPECT_EQ(comm::CartDecomposition(ranks, 10.0).self_periodic(),
