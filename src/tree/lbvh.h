@@ -6,9 +6,9 @@
 // construction — points are sorted by the Morton code of their quantized
 // position and a binary hierarchy of fitted AABBs is built over the
 // sorted order, each range split at its count midpoint until it holds at
-// most `leaf_size` points (so leaves hold between half of that and all of
-// it). Fixed-radius neighbor queries drive SO and DBSCAN; FOF links
-// through the dual-tree self-join, for_each_pair_within.
+// most `leaf_size` points (4 to 8 per leaf at the default of 8, once the
+// set outgrows one leaf). Fixed-radius neighbor queries drive SO and
+// DBSCAN; FOF links through the dual-tree self-join, for_each_pair_within.
 #pragma once
 
 #include <algorithm>

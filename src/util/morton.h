@@ -1,8 +1,9 @@
 // 3-D Morton (Z-order) codes.
 //
-// Used by the LBVH construction in tree/arborx: particles are sorted by
+// Used by the LBVH construction in tree/lbvh.h: particles are sorted by
 // the Morton code of their quantized position, giving a spatially coherent
-// ordering that the linear BVH builder splits on highest differing bit.
+// ordering that the BVH builder splits at the count midpoint of each
+// range until a range fits in one leaf.
 #pragma once
 
 #include <cstdint>
